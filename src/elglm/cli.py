@@ -39,7 +39,7 @@ from .estimators import (
     mpele_lnp,
     pcg_refine,
 )
-from .families import Gaussian, Poisson, family_from_config
+from .families import FAMILIES, Gaussian, Poisson, family_from_config
 from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, load_dataset, save_dataset, simulate_responses
 from .population import (
     CoupledFilterSet,
@@ -51,7 +51,7 @@ from .population import (
     save_population,
     stagewise_population_fit,
 )
-from .risk import RiskSpec, crossover_rho, mc_mse, mse_asymptotic, mse_closed_form
+from .risk import RiskSpec, check_mc, crossover_rho, mc_mse, mse_asymptotic, mse_closed_form
 from .sampling import (
     chain_summary,
     hmc_chain,
@@ -68,7 +68,7 @@ from .simulate import (
     gen_stimuli,
     spatiotemporal_covariance,
 )
-from .structured import ScaledIdentity, from_config as structured_from_config
+from .structured import KINDS as MATRIX_KINDS, ScaledIdentity, from_config as structured_from_config
 
 
 class ConfigError(Exception):
@@ -81,8 +81,16 @@ class NumericalFailure(Exception):
 
 # ---------------------------------------------------------------- schemas
 
-_STRUCTURED = {"type": "object", "required": ["kind"]}
-_FAMILY = {"type": "object", "required": ["family"]}
+_STRUCTURED = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": list(MATRIX_KINDS)}},
+}
+_FAMILY = {
+    "type": "object",
+    "required": ["family"],
+    "properties": {"family": {"enum": list(FAMILIES)}},
+}
 _STIMULUS = {
     "type": "object",
     "required": ["kind", "N", "p"],
@@ -538,11 +546,18 @@ def _run_risk(cfg: dict, outdir: pathlib.Path, seed: int):
     trials = cfg.get("trials", 0)
     c = cfg.get("c", 0.0)
     want_asym = cfg.get("asymptotic", True)
+    ps = [max(1, int(round(rho * N))) for rho in rho_grid]
+    if trials > 0:
+        for p in ps:
+            for kind in kinds:
+                try:
+                    check_mc(kind, N, p, trials, c)
+                except ValueError as e:
+                    raise ConfigError(f"risk Monte Carlo for {kind!r} at p={p}: {e}") from None
     rows = []
     ss = np.random.SeedSequence(seed)
     for snr in snrs:
-        for rho in rho_grid:
-            p = max(1, int(round(rho * N)))
+        for p in ps:
             for kind in kinds:
                 closed = asym = mc = stderr = float("nan")
                 try:

@@ -22,6 +22,7 @@ __all__ = [
     "Bernoulli",
     "nonlinearity_eval",
     "family_from_config",
+    "FAMILIES",
 ]
 
 # |u| beyond this, log(1+exp(u)) is evaluated by its asymptote
@@ -171,12 +172,16 @@ def nonlinearity_eval(family: CanonicalFamily, u):
     return family.g(u), family.dg(u), family.d2g(u)
 
 
+# config constructors by name; the CLI schema takes its family enum from the keys
+FAMILIES = {
+    "gaussian": lambda c: Gaussian(sigma2=c.get("sigma2", 1.0)),
+    "poisson": lambda c: Poisson(dt=c.get("dt", 1.0)),
+    "bernoulli": lambda c: Bernoulli(),
+}
+
+
 def family_from_config(config: dict) -> CanonicalFamily:
     name = config.get("family")
-    if name == "gaussian":
-        return Gaussian(sigma2=config.get("sigma2", 1.0))
-    if name == "poisson":
-        return Poisson(dt=config.get("dt", 1.0))
-    if name == "bernoulli":
-        return Bernoulli()
-    raise ValueError(f"unknown family: {name!r}")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family: {name!r}")
+    return FAMILIES[name](config)

@@ -7,6 +7,18 @@ stay finite). With unit noise and identity covariance theta'theta is the SNR.
 
 Estimator kinds: "mele" X'r/N, "mle" (X'X)^{-1}X'r, "mpele" X'r/(N+cp),
 "map" (X'X+cpI)^{-1}X'r.
+
+The Monte Carlo draws no design. Left-first Golub-Kahan bidiagonalization
+gives X = U [B; 0] V' with V e_1 = e_1 and B upper bidiagonal with
+independent chi entries (Dumitriu & Edelman, "Matrix models for beta
+ensembles", J. Math. Phys. 2002). Then X'X = V B'B V' and X'eps = V B'w,
+where w = U'eps ~ N(0, I) is independent of B. The design is isotropic, so
+rotating theta onto ||theta|| e_1 leaves the law of every error unchanged:
+the risk depends on theta only through its norm. Each error is therefore a
+function of (B, w), which a trial draws in O(p) numbers and evaluates in
+O(p) work with a bidiagonal or tridiagonal solve, instead of an N x p
+design, its gram and a p x p solve. The draws do not depend on the kind, so
+one seed gives every kind the same datasets.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded, solveh_banded
 
 __all__ = [
     "RiskSpec",
@@ -24,6 +37,7 @@ __all__ = [
     "MPLaw",
     "mp_density",
     "mc_mse",
+    "check_mc",
     "crossover_rho",
     "optimal_ridge",
 ]
@@ -146,41 +160,87 @@ def crossover_rho(snr: float) -> float:
     return snr / (1.0 + snr)
 
 
-def _estimate(kind, X, r, N, p, c):
-    s = X.T @ r
-    if kind == "mele":
-        return s / N
-    if kind == "mpele":
-        return s / (N + c * p)
-    G = X.T @ X
-    if kind == "map":
-        G = G + (c * p) * np.eye(p)
-    return np.linalg.solve(G, s)
-
-
-def mc_mse(kind: str, N: int, p: int, theta_true, trials: int, seed, c: float = 0.0):
-    """Monte Carlo E||theta_hat - theta||^2 over fresh (X, r) draws.
-
-    Returns (estimate, stderr). The RNG stream is consumed identically for
-    every kind, so runs with the same seed see the same simulated datasets
-    and paired comparisons across estimators are exact.
-    """
+def check_mc(kind: str, N: int, p: int, trials: int, c: float = 0.0) -> None:
+    """Raise ValueError unless mc_mse can estimate this cell: at least two
+    trials, and an estimator whose risk is finite."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if trials < 2:
         raise ValueError("trials must be >= 2")
     if kind == "mle" and p >= N - 1:
         raise ValueError("MLE Monte Carlo requires p < N - 1")
+    if kind == "map" and c <= 0 and p >= N:
+        raise ValueError("MAP Monte Carlo at p >= N requires c > 0")
+
+
+def _bidiagonal(rng, N, p):
+    """One draw of the upper bidiagonal B (n x p, n = min(N, p)) of a standard
+    Gaussian N x p design, plus w ~ N(0, I_n) standing for the rotated noise.
+
+    Left-first Golub-Kahan gives diagonal d_i ~ chi_{N-i+1} and superdiagonal
+    e_i ~ chi_{p-i}. Only the first m = min(N + 1, p) columns of B are nonzero,
+    so d and w come back zero-padded to length m and e has length m - 1.
+    """
+    n = min(N, p)
+    d = np.sqrt(rng.chisquare(np.arange(N, N - n, -1)))
+    e = np.sqrt(rng.chisquare(np.arange(p - 1, p - 1 - min(n, p - 1), -1)))
+    w = rng.standard_normal(n)
+    pad = e.size + 1 - n  # 1 when N < p: column N + 1 holds e_N only
+    return np.pad(d, (0, pad)), e, np.pad(w, (0, pad))
+
+
+def _squared_error(kind, d, e, w, N, p, s, c):
+    """||theta_hat - theta||^2 for theta = s e_1, in the frame where X = U B V'
+    with V e_1 = e_1 (coordinates beyond B's nonzero columns are zero)."""
+    if kind == "mle":
+        # (X'X)^{-1} X'eps = V B^{-1} w, with B square since p < N - 1
+        x = solve_banded((0, 1), np.array([np.r_[0.0, e], d]), w, check_finite=False)
+        return float(x @ x)
+    g = d * w
+    g[1:] += e * w[:-1]  # B'w
+    if kind == "map":
+        # (B'B + lam I)^{-1} (s B'B e_1 + B'w) - s e_1
+        #   = (B'B + lam I)^{-1} (B'w - lam s e_1), which has no cancellation
+        lam = c * p
+        g[0] -= lam * s
+        ab = np.array([np.r_[0.0, d[:-1] * e], d * d + np.r_[0.0, e * e] + lam])
+        # the tridiagonal path of solveh_banded needs m >= 2
+        x = solveh_banded(ab if d.size > 1 else ab[1:], g, check_finite=False)
+        return float(x @ x)
+    # g = X'r in this frame: B'w + s B'B e_1, where B'B e_1 = d_1 (d_1, e_1, 0, ...)
+    g[0] += s * d[0] * d[0]
+    if e.size:
+        g[1] += s * d[0] * e[0]
+    x = g / (N if kind == "mele" else N + c * p)
+    x[0] -= s
+    return float(x @ x)
+
+
+def _mc_errors(kind, N, p, theta_true, trials, seed, c=0.0):
+    """Per-trial squared errors behind mc_mse."""
+    check_mc(kind, N, p, trials, c)
     theta = np.asarray(theta_true, dtype=float)
     if theta.shape != (p,):
         raise ValueError(f"theta_true must have shape ({p},)")
+    s = float(np.linalg.norm(theta))
     errs = np.empty(trials)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        X = rng.standard_normal((N, p))
-        r = X @ theta + rng.standard_normal(N)
-        diff = _estimate(kind, X, r, N, p, c) - theta
-        errs[i] = float(diff @ diff)
+        d, e, w = _bidiagonal(np.random.default_rng(child), N, p)
+        errs[i] = _squared_error(kind, d, e, w, N, p, s, c)
+    return errs
+
+
+def mc_mse(kind: str, N: int, p: int, theta_true, trials: int, seed, c: float = 0.0):
+    """Monte Carlo E||theta_hat - theta||^2 over fresh (X, r) draws.
+
+    Returns (estimate, stderr). Each trial samples the bidiagonal factor of X
+    and the rotated noise (see the module docstring) in O(p) draws and work;
+    the result has the distribution of the brute-force draw of X and r. Only
+    ||theta_true|| enters. The RNG stream is consumed identically for every
+    kind, so runs with the same seed see the same simulated datasets and
+    paired comparisons across estimators are exact.
+    """
+    errs = _mc_errors(kind, N, p, theta_true, trials, seed, c)
     return float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(trials))
 
 

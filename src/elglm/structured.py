@@ -33,6 +33,7 @@ __all__ = [
     "Kronecker",
     "add_structured",
     "from_config",
+    "KINDS",
 ]
 
 # Circulant eigenvalues in (-CIRC_EIG_TOL * max, 0] are clamped to zero;
@@ -519,7 +520,8 @@ def add_structured(a: StructuredMatrix, b: StructuredMatrix) -> StructuredMatrix
     return Dense(a.to_dense() + b.to_dense())
 
 
-_KINDS = {
+# config constructors by kind tag; the CLI schema takes its kind enum from the keys
+KINDS = {
     "scaled_identity": lambda c: ScaledIdentity(c["dim"], c["scale"]),
     "diagonal": lambda c: Diagonal(c["values"]),
     "banded": lambda c: Banded(c["diagonals"]),
@@ -532,6 +534,6 @@ _KINDS = {
 def from_config(config: dict) -> StructuredMatrix:
     """Rebuild a StructuredMatrix from its tagged JSON record."""
     kind = config.get("kind")
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown structured-matrix kind: {kind!r}")
-    return _KINDS[kind](config)
+    return KINDS[kind](config)

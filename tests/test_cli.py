@@ -120,6 +120,35 @@ def test_numerical_failure_is_exit_3_and_cleans_up(tmp_path, capsys):
     assert list((out_root / "demo").iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["nosuch", "banana"], ids=["family", "matrix_kind"])
+def test_fit_unknown_family_or_matrix_kind_is_exit_2(tmp_path, capsys, value):
+    cfg = fit_cfg()
+    if value == "nosuch":
+        cfg["data"]["simulate"]["family"]["family"] = value
+    else:
+        cfg["C"] = {"kind": value}
+    code, _, err = run_cli(capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 2
+    assert "schema" in err and value in err
+
+
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        # the MAP without a ridge has no unique solution once p >= N
+        ({"N": 40, "kinds": ["map"], "rho_grid": [0.5, 1.5], "trials": 5}, "c > 0"),
+        ({"N": 40, "kinds": ["mele"], "rho_grid": [0.5], "trials": 1}, "trials"),
+        # the default grid reaches rho = 0.9, p = 9 >= N - 1
+        ({"N": 10, "kinds": ["mle"], "trials": 3}, "p < N - 1"),
+    ],
+    ids=["map_without_ridge", "one_trial", "mle_near_p_eq_N"],
+)
+def test_risk_monte_carlo_cells_are_checked_before_any_work(tmp_path, capsys, cfg, message):
+    code, _, err = run_cli(capsys, ["risk", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in err and message in err
+
+
 def test_run_experiment_rejects_unknown_subcommand(tmp_path):
     with pytest.raises(ConfigError, match="subcommand"):
         run_experiment("tickle", {}, out_root=str(tmp_path / "out"))

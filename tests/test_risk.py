@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.stats import ks_2samp
 
 from elglm.risk import (
     KINDS,
     MPLaw,
     RiskSpec,
+    _mc_errors,
     crossover_rho,
     mc_mse,
     mp_density,
@@ -88,10 +90,77 @@ def test_mc_determinism_and_guards():
         mc_mse("mele", 20, 3, theta, trials=1, seed=1)
     with pytest.raises(ValueError, match="p < N - 1"):
         mc_mse("mle", 4, 3, theta, trials=5, seed=1)
+    with pytest.raises(ValueError, match="c > 0"):
+        mc_mse("map", 3, 3, theta, trials=5, seed=1, c=0.0)
     with pytest.raises(ValueError, match="shape"):
         mc_mse("mele", 20, 4, theta, trials=5, seed=1)
     with pytest.raises(ValueError, match="kind"):
         mc_mse("ols", 20, 3, theta, trials=5, seed=1)
+
+
+def _brute_force_errors(kind, N, p, theta, trials, seed, c=0.0):
+    """Reference for mc_mse: per-trial errors from a full (X, r) draw, the
+    estimator computed from X'X and X'r."""
+    errs = np.empty(trials)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        X = rng.standard_normal((N, p))
+        r = X @ theta + rng.standard_normal(N)
+        s = X.T @ r
+        if kind == "mele":
+            est = s / N
+        elif kind == "mpele":
+            est = s / (N + c * p)
+        else:
+            G = X.T @ X
+            if kind == "map":
+                G = G + (c * p) * np.eye(p)
+            est = np.linalg.solve(G, s)
+        errs[i] = (est - theta) @ (est - theta)
+    return errs
+
+
+def _theta(p, snr, seed):
+    theta = np.random.default_rng(seed).standard_normal(p)
+    return theta * np.sqrt(snr) / np.linalg.norm(theta)
+
+
+@pytest.mark.parametrize(
+    "kind,N,p,c",
+    [
+        ("mele", 40, 10, 0.0),
+        ("mle", 40, 10, 0.0),
+        ("mpele", 40, 10, 0.8),
+        ("map", 40, 10, 0.8),
+        ("mele", 10, 25, 0.0),
+        ("mpele", 10, 25, 0.8),
+        ("map", 10, 25, 0.8),
+    ],
+)
+def test_mc_errors_match_brute_force_in_distribution(kind, N, p, c):
+    theta = _theta(p, 1.5, 31)
+    fast = _mc_errors(kind, N, p, theta, 1500, seed=41, c=c)
+    slow = _brute_force_errors(kind, N, p, theta, 1500, seed=42, c=c)
+    assert ks_2samp(fast, slow).pvalue > 1e-3
+
+
+def test_mc_trials_pair_across_kinds_and_see_only_the_norm():
+    N, p, trials = 30, 6, 50
+    theta = _theta(p, 2.0, 3)
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((p, p)))
+    mele = _mc_errors("mele", N, p, theta, trials, seed=5)
+    np.testing.assert_array_equal(_mc_errors("mpele", N, p, theta, trials, seed=5, c=0.0), mele)
+    np.testing.assert_allclose(
+        _mc_errors("map", N, p, theta, trials, seed=5, c=0.0),
+        _mc_errors("mle", N, p, theta, trials, seed=5),
+        rtol=1e-10,
+    )
+    for kind, c in (("mele", 0.0), ("mle", 0.0), ("mpele", 0.5), ("map", 0.5)):
+        np.testing.assert_allclose(
+            _mc_errors(kind, N, p, Q @ theta, trials, seed=5, c=c),
+            _mc_errors(kind, N, p, theta, trials, seed=5, c=c),
+            rtol=1e-12,
+        )
 
 
 def test_asymptotic_is_large_N_limit():
