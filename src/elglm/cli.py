@@ -81,11 +81,33 @@ class NumericalFailure(Exception):
 
 # ---------------------------------------------------------------- schemas
 
-_STRUCTURED = {
+# Each structured-matrix kind requires its own fields; Kronecker factors are
+# matrices again, through $ref. Entries of a dense matrix are left to its
+# constructor, so a large C config costs no per-entry validation.
+_NUMBERS = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+_MATRIX_FIELDS = {
+    "scaled_identity": {"dim": {"type": "integer", "minimum": 1}, "scale": {"type": "number"}},
+    "diagonal": {"values": _NUMBERS},
+    "banded": {"diagonals": {"type": "array", "minItems": 1, "items": _NUMBERS}},
+    "circulant": {"first_row": _NUMBERS},
+    "dense": {"values": {"type": "array", "minItems": 1, "items": {"type": "array"}}},
+    "kronecker": {
+        "factors": {"type": "array", "minItems": 2, "items": {"$ref": "#/$defs/matrix"}}
+    },
+}
+_MATRIX = {
     "type": "object",
     "required": ["kind"],
     "properties": {"kind": {"enum": list(MATRIX_KINDS)}},
+    "allOf": [
+        {
+            "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": {"required": list(_MATRIX_FIELDS[kind]), "properties": _MATRIX_FIELDS[kind]},
+        }
+        for kind in MATRIX_KINDS
+    ],
 }
+_STRUCTURED = {"$ref": "#/$defs/matrix"}
 _FAMILY = {
     "type": "object",
     "required": ["family"],
@@ -124,6 +146,21 @@ _SIM_GLM = {
         "theta_norm": {"type": "number"},
         "theta0": {"type": "number"},
         "rate": {"type": "number", "exclusiveMinimum": 0},
+    },
+}
+_SIM_POPULATION = {
+    "type": "object",
+    "required": ["M", "stimulus"],
+    "properties": {
+        "M": {"type": "integer", "minimum": 1},
+        "stimulus": _STIMULUS,
+        "basis": {"type": "object"},
+        "dt": {"type": "number", "exclusiveMinimum": 0},
+        "baseline_rate": {"type": "number", "exclusiveMinimum": 0},
+        "filter_norm": {"type": "number", "minimum": 0},
+        "coupling_density": {"type": "number", "minimum": 0, "maximum": 1},
+        "coupling_scale": {"type": "number"},
+        "self_scale": {"type": "number"},
     },
 }
 _DATA = {
@@ -217,21 +254,7 @@ SCHEMAS = {
             "seed": {"type": "integer"},
             "experiment": {"type": "string"},
             "glm": _SIM_GLM,
-            "population": {
-                "type": "object",
-                "required": ["M", "stimulus"],
-                "properties": {
-                    "M": {"type": "integer", "minimum": 1},
-                    "stimulus": _STIMULUS,
-                    "basis": {"type": "object"},
-                    "dt": {"type": "number", "exclusiveMinimum": 0},
-                    "baseline_rate": {"type": "number", "exclusiveMinimum": 0},
-                    "filter_norm": {"type": "number", "minimum": 0},
-                    "coupling_density": {"type": "number", "minimum": 0, "maximum": 1},
-                    "coupling_scale": {"type": "number"},
-                    "self_scale": {"type": "number"},
-                },
-            },
+            "population": _SIM_POPULATION,
             "stem": {"type": "string"},
         },
         "anyOf": [{"required": ["glm"]}, {"required": ["population"]}],
@@ -243,7 +266,7 @@ SCHEMAS = {
             "seed": {"type": "integer"},
             "experiment": {"type": "string"},
             "data_stem": {"type": "string"},
-            "simulate": {"type": "object"},
+            "simulate": _SIM_POPULATION,
             "basis": {"type": "object"},
             "C": _STRUCTURED,
             "lam_path": {"type": "array", "items": {"type": "number", "minimum": 0}},
@@ -264,6 +287,8 @@ SCHEMAS = {
         },
     },
 }
+for _schema in SCHEMAS.values():
+    _schema["$defs"] = {"matrix": _MATRIX}
 
 
 def _validate(cfg: dict, subcommand: str) -> None:
@@ -666,17 +691,19 @@ def _run_population(cfg: dict, outdir: pathlib.Path, seed: int):
         basis = HistoryBasis(**cfg["simulate"].get("basis", {}))
     lam_path = np.asarray(cfg["lam_path"], dtype=float)
     result = stagewise_population_fit(pop, basis, C, lam_path, pcg_budget=cfg.get("pcg_budget", 0))
-    rows = []
     T = pop.N * pop.dt
+    # one design per neuron, scored under every lambda's filters
+    bits = np.empty((len(result.filters), pop.M))
+    for i in range(pop.M):
+        d = build_population_design(pop, basis, i)
+        for k, filters in enumerate(result.filters):
+            bits[k, i] = bits_per_second(d, filterset_params(filters, basis, i), T)
+    rows = []
     for k, (lam, filters) in enumerate(zip(lam_path, result.filters)):
         name = f"filters_{k:03d}.json"
         (outdir / name).write_text(filters.to_json())
         outputs.append(name)
-        bits = []
-        for i in range(pop.M):
-            d = build_population_design(pop, basis, i)
-            bits.append(bits_per_second(d, filterset_params(filters, basis, i), T))
-        rows.append((lam, len(filters.couplings), float(np.mean(bits))))
+        rows.append((lam, len(filters.couplings), float(np.mean(bits[k]))))
     _write_csv(outdir / "metrics.csv", ["lam", "coupling_nnz", "mean_bits_per_s"], rows)
     outputs.append("metrics.csv")
     return outputs

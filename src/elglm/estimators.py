@@ -38,6 +38,8 @@ __all__ = [
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
+# cyclic CD sweeps run before each attempt to finish an L1 model on its support
+SUPPORT_SWEEPS = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,6 +136,58 @@ def _check_path(lam_path):
     return lam_path
 
 
+def _l1_kkt(grad, x_theta, lam_vec):
+    active = x_theta != 0.0
+    viol_active = np.abs(grad - np.sign(x_theta) * lam_vec)
+    viol_zero = np.maximum(np.abs(grad) - lam_vec, 0.0)
+    return float(np.max(np.where(active, viol_active, viol_zero)))
+
+
+def _support_solve(A, s, lam, x):
+    """Stationary point of the model on the support and signs of x, or None
+    if the solve fails or flips the sign of a penalized coordinate."""
+    on = x != 0.0
+    sign = np.sign(x[on])
+    try:
+        x_on = np.linalg.solve(A[np.ix_(on, on)], s[on] - sign * lam[on])
+    except np.linalg.LinAlgError:
+        return None
+    penalized = lam[on] > 0.0
+    if np.any(np.sign(x_on[penalized]) != sign[penalized]):
+        return None
+    out = np.zeros_like(x)
+    out[on] = x_on
+    return out
+
+
+def _solve_l1_model(A, s, lam, x0, tol, max_sweeps):
+    """Maximize s'x - x'Ax/2 - sum_j lam_j |x_j| to a KKT residual <= tol.
+
+    A few cyclic CD sweeps fix the support and the signs; one dense solve of
+    A_SS x_S = s_S - sign(x_S) lam_S then finishes the model on that support
+    (glmnet's active-set idea). The solve is kept when every penalized
+    coordinate keeps its sign and the KKT residual falls; otherwise sweeping
+    resumes from the CD point. Returns (x, sweeps, kkt) like the CD kernel.
+    """
+    x, sweeps, kkt = x0, 0, np.inf
+    while sweeps < max_sweeps:
+        x, n, kkt = cd_quadratic_l1(
+            A, s, lam, x, max_sweeps=min(SUPPORT_SWEEPS, max_sweeps - sweeps), tol=tol
+        )
+        sweeps += n
+        if kkt <= tol:
+            break
+        x_new = _support_solve(A, s, lam, x)
+        if x_new is None:
+            continue
+        kkt_new = _l1_kkt(s - A @ x_new, x_new, lam)
+        if kkt_new < kkt:
+            x, kkt = x_new, kkt_new
+            if kkt <= tol:
+                break
+    return x, sweeps, kkt
+
+
 def mpele_l1_path_diagonal(data: GlmDataset, C: StructuredMatrix, lam_path, n_factor=None):
     """Exact soft-threshold path for diagonal C, O(Np + p |path|) total.
 
@@ -182,9 +236,9 @@ def mpele_l1_general(
 ) -> FitResult:
     """Coordinate descent for max s'theta - n theta'C theta/2 - lam ||theta||_1.
 
-    Runs on the densified quadratic (the CD kernel wants dense rows); raises
-    with the residual if the KKT violation is still above tol after
-    max_sweeps.
+    Runs on the densified quadratic (the CD kernel wants dense rows), finished
+    by a solve on the support; raises with the residual if the KKT violation
+    is still above tol after max_sweeps.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -192,8 +246,8 @@ def mpele_l1_general(
     t0 = time.perf_counter()
     A = n * C.to_dense()
     init = np.zeros(data.p) if theta_init is None else np.asarray(theta_init, dtype=float)
-    theta, sweeps, kkt = cd_quadratic_l1(
-        A, data.s, np.full(data.p, float(lam)), init, max_sweeps=max_sweeps, tol=tol
+    theta, sweeps, kkt = _solve_l1_model(
+        A, data.s, np.full(data.p, float(lam)), init, tol, max_sweeps
     )
     if kkt > tol:
         raise RuntimeError(
@@ -378,13 +432,6 @@ def fit_exact(
     )
 
 
-def _l1_kkt(grad, x_theta, lam_vec):
-    active = x_theta != 0.0
-    viol_active = np.abs(grad - np.sign(x_theta) * lam_vec)
-    viol_zero = np.maximum(np.abs(grad) - lam_vec, 0.0)
-    return float(np.max(np.where(active, viol_active, viol_zero)))
-
-
 def fit_exact_l1(
     data: GlmDataset,
     lam,
@@ -401,11 +448,13 @@ def fit_exact_l1(
 
     Each outer pass forms the local quadratic model of the smooth part
     (likelihood plus optional ridge) and solves it by cyclic coordinate
-    descent with per-coordinate penalties, then backtracks toward the CD
-    point until the true penalized objective ascends. ``lam`` may be a
-    scalar (applied to every theta coordinate) or a length-p vector with
-    zeros for unpenalized coordinates; the offset, when fitted, is never
-    penalized. One outer pass solves Gaussian-family problems exactly.
+    descent with per-coordinate penalties, finished by a solve on the
+    support, then backtracks toward the model's solution until the true
+    penalized objective ascends. The gradient at the accepted point serves
+    both the KKT check and the next model. ``lam`` may be a scalar (applied
+    to every theta coordinate) or a length-p vector with zeros for
+    unpenalized coordinates; the offset, when fitted, is never penalized.
+    One outer pass solves Gaussian-family problems exactly.
     """
     smooth = _PenalizedExact(data, R=R, fit_offset=fit_offset, theta0=theta0, offset=offset)
     dim = smooth.dim
@@ -419,12 +468,12 @@ def fit_exact_l1(
 
     x = _init_vector(init, dim, fit_offset)
     t0 = time.perf_counter()
-    trace = [pen_value(x)]
+    v, g = smooth.value_grad(x)
+    trace = [v - float(lam_vec @ np.abs(x))]
     converged = False
     kkt = np.inf
     it = 0
     for it in range(1, max_outer + 1):
-        v, g = smooth.value_grad(x)
         A = -smooth.hess_dense(x)
         # tiny diagonal lift keeps CD defined when a coordinate has zero curvature
         dA = np.diag(A)
@@ -433,17 +482,21 @@ def fit_exact_l1(
         s_eff = A @ x + g
         # the outer kkt floor sits near the inner tolerance times the model's
         # condition number, so solve the model well below the outer target
-        x_cd, _, _ = cd_quadratic_l1(A, s_eff, lam_vec, x, max_sweeps=cd_sweeps, tol=tol * 1e-3)
+        x_cd, _, _ = _solve_l1_model(A, s_eff, lam_vec, x, tol * 1e-3, cd_sweeps)
         d = x_cd - x
+        v_new = trace[-1]
         if np.max(np.abs(d)) > 0:
-            v0 = trace[-1]
             alpha = 1.0
-            while alpha > 1e-14 and pen_value(x + alpha * d) < v0:
+            while alpha > 1e-14:
+                v_try = pen_value(x + alpha * d)
+                if v_try >= trace[-1]:
+                    break
                 alpha *= ARMIJO_SHRINK
             if alpha > 1e-14:
                 x = x + alpha * d
-        trace.append(pen_value(x))
-        _, g = smooth.value_grad(x)
+                v_new = v_try
+                _, g = smooth.value_grad(x)
+        trace.append(v_new)
         g_theta = g[1:] if fit_offset else g
         kkt = _l1_kkt(g_theta, x[1:] if fit_offset else x, lam_theta)
         if fit_offset:

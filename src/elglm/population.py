@@ -235,10 +235,11 @@ def stagewise_population_fit(
     Stage 1 computes each neuron's stimulus filter by MPELE against C,
     optionally polished with pcg_budget refinement iterations. Stage 2 fixes
     that filter up to a gain and fits (theta0, alpha, self-history) by exact
-    Newton. Stage 3 sweeps the decreasing lam_path, refitting (theta0,
-    self-history, couplings) by penalized coordinate descent on the exact
-    likelihood with the stimulus term frozen at alpha * X_s theta_s; only the
-    couplings carry the L1 penalty. Fits are warm-started along the path.
+    Newton. Stage 3 builds each neuron's history design once and sweeps the
+    decreasing lam_path on it, refitting (theta0, self-history, couplings) by
+    penalized coordinate descent on the exact likelihood with the stimulus
+    term frozen at alpha * X_s theta_s; only the couplings carry the L1
+    penalty. Fits are warm-started along the path.
     """
     lam_path = np.asarray(lam_path, dtype=float)
     if lam_path.ndim != 1 or lam_path.size == 0:
@@ -277,51 +278,47 @@ def stagewise_population_fit(
 
     t0 = time.perf_counter()
     n_self = basis.n_self
-    filters_per_lam = []
+    K = lam_path.size
+    theta0 = np.empty((K, M))
+    self_coeffs = np.empty((K, M, n_self))
+    couplings = [{} for _ in range(K)]
     kkts = []
-    warm = [None] * M
-    for lam in lam_path:
-        theta0 = np.empty(M)
-        self_coeffs = np.empty((M, n_self))
-        couplings = {}
-        for i in range(M):
-            alpha_i = stage2[i].params.theta[0]
-            offset = alpha_i * (data.X_s @ stage1[i].params.theta)
-            Xh = history_columns(data, basis, i)
-            d3 = GlmDataset(Xh, data.spikes[i], Poisson(dt=data.dt))
+    for i in range(M):
+        # one design per neuron; the lambda path walks it with warm starts
+        offset = stage2[i].params.theta[0] * (data.X_s @ stage1[i].params.theta)
+        d3 = GlmDataset(history_columns(data, basis, i), data.spikes[i], Poisson(dt=data.dt))
+        sources = [j for j in range(M) if j != i]
+        # kkt residuals scale with the gradient, i.e. with the spike count;
+        # an absolute 1e-8 would sit below the line-search float plateau
+        tol_i = 1e-8 * max(1.0, float(data.spikes[i].sum()))
+        init = GlmParams(
+            theta0=stage2[i].params.theta0,
+            theta=np.concatenate([stage2[i].params.theta[1:], np.zeros(M - 1)]),
+        )
+        for k, lam in enumerate(lam_path):
             lam_vec = np.concatenate([np.zeros(n_self), np.full(M - 1, lam)])
-            init = warm[i]
-            if init is None:
-                init = GlmParams(
-                    theta0=stage2[i].params.theta0,
-                    theta=np.concatenate(
-                        [stage2[i].params.theta[1:], np.zeros(M - 1)]
-                    ),
-                )
-            # kkt residuals scale with the gradient, i.e. with the spike count;
-            # an absolute 1e-8 would sit below the line-search float plateau
-            tol_i = 1e-8 * max(1.0, float(data.spikes[i].sum()))
             fit = fit_exact_l1(
                 d3, lam_vec, init=init, fit_offset=True, offset=offset, tol=tol_i
             )
-            warm[i] = fit.params
+            init = fit.params
             kkts.append(fit.diagnostics["kkt"])
-            theta0[i] = fit.params.theta0
-            self_coeffs[i] = fit.params.theta[:n_self]
-            sources = [j for j in range(M) if j != i]
-            for idx, j in enumerate(sources):
-                w = fit.params.theta[n_self + idx]
+            theta0[k, i] = fit.params.theta0
+            self_coeffs[k, i] = fit.params.theta[:n_self]
+            for j, w in zip(sources, fit.params.theta[n_self:]):
                 if w != 0.0:
-                    couplings[(i, j)] = float(w)
-        filters_per_lam.append(
-            CoupledFilterSet(
-                theta0=theta0,
-                theta_s=np.vstack([f.params.theta for f in stage1]),
-                alpha=np.array([f.params.theta[0] for f in stage2]),
-                self_coeffs=self_coeffs,
-                couplings=couplings,
-            )
+                    couplings[k][(i, j)] = float(w)
+    theta_s = np.vstack([f.params.theta for f in stage1])
+    alpha = np.array([f.params.theta[0] for f in stage2])
+    filters_per_lam = [
+        CoupledFilterSet(
+            theta0=theta0[k],
+            theta_s=theta_s.copy(),
+            alpha=alpha.copy(),
+            self_coeffs=self_coeffs[k],
+            couplings=couplings[k],
         )
+        for k in range(K)
+    ]
     return StagewiseFit(
         filters=filters_per_lam,
         lam_path=lam_path,

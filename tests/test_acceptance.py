@@ -449,6 +449,43 @@ def test_criterion_10_el_evaluation_cost_is_flat_in_N():
     assert t_exact[1000000] / t_exact[1000] >= 100, t_exact
 
 
+class _PoisonedArray:
+    """Stands in for an O(N) array of the dataset; any use of it fails."""
+
+    def _touched(self, *args, **kwargs):
+        raise AssertionError("el_loglik read per-datum data")
+
+    __getattr__ = __array__ = __array_ufunc__ = __array_function__ = _touched
+    __getitem__ = __iter__ = __len__ = __matmul__ = __rmatmul__ = _touched
+    __mul__ = __rmul__ = __add__ = __radd__ = __sub__ = __rsub__ = _touched
+
+
+@pytest.mark.parametrize(
+    "family,engine",
+    [(Poisson(), AnalyticExponential), (Gaussian(sigma2=2.0), AnalyticQuadratic)],
+    ids=["poisson", "gaussian"],
+)
+def test_criterion_10_el_loglik_reads_no_per_datum_data(family, engine):
+    """The count-based side of criterion 10: with X and r replaced by objects
+    that fail on any use, el_loglik still returns its value, gradient and
+    Hessian action, so it makes no O(N) pass whatever the machine's timing."""
+    p = 6
+    rng = np.random.default_rng(10)
+    params = GlmParams(theta0=-0.5, theta=rng.standard_normal(p) * 0.2)
+    X = rng.standard_normal((500, p))
+    data = GlmDataset(X, simulate_responses(family, X, params, 3), family)
+    eng = engine(ScaledIdentity(p, 1.0))
+    want = el_loglik(eng, data, params)
+    v = rng.standard_normal(p + 1)
+    data.X, data.r = _PoisonedArray(), _PoisonedArray()
+    with pytest.raises(AssertionError, match="per-datum"):
+        data.X @ params.theta
+    got = el_loglik(eng, data, params)
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.grad, want.grad)
+    np.testing.assert_array_equal(got.hess_action(v), want.hess_action(v))
+
+
 def test_criterion_11_recorded_data_results_out_of_scope():
     """The recorded retinal-data numbers need the original recordings, which
     this repository does not ship; the pipelines that produced them run

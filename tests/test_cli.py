@@ -8,12 +8,20 @@ import re
 import numpy as np
 import pytest
 
-from elglm.cli import ConfigError, _apply_overrides, main, run_experiment
+from elglm.cli import ConfigError, _apply_overrides, _validate, main, run_experiment
 from elglm.families import Gaussian
 from elglm.glm import GlmDataset, load_dataset, save_dataset
+from elglm.population import (
+    CoupledFilterSet,
+    HistoryBasis,
+    bits_per_second,
+    build_population_design,
+    filterset_params,
+    load_population,
+)
 from elglm.risk import RiskSpec, mse_closed_form
 from elglm.selection import gaussian_evidence
-from elglm.structured import ScaledIdentity
+from elglm.structured import KINDS, Banded, Circulant, Dense, Diagonal, Kronecker, ScaledIdentity
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -130,6 +138,47 @@ def test_fit_unknown_family_or_matrix_kind_is_exit_2(tmp_path, capsys, value):
     code, _, err = run_cli(capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
     assert code == 2
     assert "schema" in err and value in err
+
+
+@pytest.mark.parametrize(
+    "C,path,message",
+    [
+        (
+            {"kind": "kronecker", "factors": [{"kind": "banana"}, {"kind": "scaled_identity", "dim": 2, "scale": 1.0}]},
+            "$.C.factors[0].kind",
+            "banana",
+        ),
+        ({"kind": "scaled_identity"}, "$.C", "'dim' is a required property"),
+        (
+            {"kind": "kronecker", "factors": [{"kind": "diagonal", "values": [1.0, 2.0]}, {"kind": "circulant"}]},
+            "$.C.factors[1]",
+            "'first_row' is a required property",
+        ),
+        ({"kind": "kronecker", "factors": [{"kind": "diagonal", "values": [1.0]}]}, "$.C.factors", "short"),
+        ({"kind": "diagonal", "values": "ones"}, "$.C.values", "not of type 'array'"),
+    ],
+    ids=["kronecker_factor_kind", "missing_field", "kronecker_factor_field", "one_factor", "field_type"],
+)
+def test_structured_matrix_config_errors_are_exit_2_with_the_path(tmp_path, capsys, C, path, message):
+    cfg = fit_cfg()
+    cfg["C"] = C
+    code, _, err = run_cli(capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 2
+    assert f"at {path}: " in err and message in err
+
+
+def test_every_structured_kind_round_trips_through_the_schema():
+    mats = [
+        ScaledIdentity(2, 1.5),
+        Diagonal([1.0, 2.0]),
+        Banded([[2.0, 2.0, 2.0], [0.5, 0.5]]),
+        Circulant([2.0, 0.5, 0.5]),
+        Dense(np.eye(2)),
+        Kronecker([Diagonal([1.0, 2.0]), ScaledIdentity(3, 1.0)]),
+    ]
+    assert {m.to_config()["kind"] for m in mats} == set(KINDS)
+    for m in mats:
+        _validate({"data": {"stem": "x"}, "estimator": {"kind": "mele"}, "C": m.to_config()}, "fit")
 
 
 @pytest.mark.parametrize(
@@ -395,8 +444,8 @@ def test_simulate_glm_writes_dataset(tmp_path, capsys):
     assert json.loads((outdir / "sim_C.json").read_text())["kind"] == "scaled_identity"
 
 
-def test_population_pipeline(tmp_path, capsys):
-    cfg = {
+def _population_cfg():
+    return {
         "seed": 13,
         "lam_path": [8.0, 2.0],
         "simulate": {
@@ -410,6 +459,10 @@ def test_population_pipeline(tmp_path, capsys):
             "coupling_scale": 0.3,
         },
     }
+
+
+def test_population_pipeline(tmp_path, capsys):
+    cfg = _population_cfg()
     code, out, _ = run_cli(capsys, ["population", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
     assert code == 0
     outdir = pathlib.Path(out.strip())
@@ -421,6 +474,29 @@ def test_population_pipeline(tmp_path, capsys):
     assert lines[0] == "lam,coupling_nnz,mean_bits_per_s"
     assert len(lines) == 3
     assert [float(row.split(",")[0]) for row in lines[1:]] == [8.0, 2.0]
+
+
+def test_population_scores_every_lambda_on_one_design_per_neuron(tmp_path, monkeypatch):
+    built = []
+
+    def counted(pop, basis, target):
+        built.append(target)
+        return build_population_design(pop, basis, target)
+
+    monkeypatch.setattr("elglm.cli.build_population_design", counted)
+    outdir = run_experiment("population", _population_cfg(), out_root=str(tmp_path / "out"))
+    assert sorted(built) == [0, 1, 2]
+    # the per-lambda mean matches scoring each filter set on fresh designs
+    pop = load_population(outdir / "popdata")
+    basis = HistoryBasis(tau=5, n_bumps=2)
+    rows = list(csv.DictReader((outdir / "metrics.csv").read_text().splitlines()))
+    for k, row in enumerate(rows):
+        filters = CoupledFilterSet.from_json((outdir / f"filters_{k:03d}.json").read_text())
+        bits = [
+            bits_per_second(build_population_design(pop, basis, i), filterset_params(filters, basis, i), pop.N)
+            for i in range(pop.M)
+        ]
+        assert float(row["mean_bits_per_s"]) == float(np.mean(bits))
 
 
 def test_bench_cd_backends(tmp_path, capsys):

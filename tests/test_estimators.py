@@ -5,7 +5,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
+from test_cd import brute_force_l1
 
+import elglm.estimators as estimators
+from elglm._cd._cd_py import cd_quadratic_l1 as cd_py
 from elglm.el import AnalyticExponential, el_loglik
 from elglm.estimators import (
     L1,
@@ -177,6 +180,86 @@ def test_n_factor_changes_scale():
     a = mpele_l1_path_diagonal(data, C, [0.1], n_factor=data.N_s)[0]
     b = mpele_l1_path_diagonal(data, C, [0.1])[0]
     assert np.allclose(a.params.theta * data.N_s, b.params.theta * data.N)
+
+
+# --- L1 model solve: cyclic sweeps finished on the support ----------------------
+
+def test_support_solve_matches_cyclic_cd_and_enumeration(monkeypatch):
+    """Ill-conditioned random models with two unpenalized coordinates each,
+    started from random points so that signs must flip: the support-solve
+    finish lands on the enumerated optimum and on the converged cyclic
+    kernel, including the problems where a solve is rejected and sweeping
+    resumes."""
+    outcomes = []
+    solve = estimators._support_solve
+
+    def recorded(*args):
+        out = solve(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(estimators, "_support_solve", recorded)
+    sweeps_model = sweeps_cyclic = flips = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        p = 6
+        B = rng.standard_normal((p, p + 1))
+        A = B @ B.T / p + 0.05 * np.eye(p)
+        s = rng.standard_normal(p) * 2.0
+        lam = rng.uniform(0.2, 1.5, p)
+        lam[rng.permutation(p)[:2]] = 0.0
+        x0 = rng.standard_normal(p) * 2.0
+        x, n, kkt = estimators._solve_l1_model(A, s, lam, x0, 1e-12, 10000)
+        x_cd, n_cd, _ = cd_py(A, s, lam, x0, max_sweeps=10000, tol=1e-12)
+        x_star = brute_force_l1(A, s, lam)
+        assert kkt <= 1e-12
+        assert np.array_equal(x != 0.0, x_star != 0.0), seed
+        np.testing.assert_allclose(x, x_star, atol=1e-9)
+        np.testing.assert_allclose(x, x_cd, atol=1e-9)
+        flips += int(np.any(np.sign(x_star) * np.sign(x0) < 0))
+        sweeps_model += n
+        sweeps_cyclic += n_cd
+    assert flips > 0
+    assert not all(outcomes) and any(outcomes)  # solves both kept and rejected
+    assert sweeps_model * 5 < sweeps_cyclic
+
+
+def test_support_solve_diagonal_and_tie_cases():
+    # diagonal model: the first sweep is exact, no solve is needed
+    d = np.array([1.0, 2.0, 0.5, 4.0])
+    s = np.array([3.0, -1.0, 0.2, 0.05])
+    lam = np.array([0.5, 0.0, 0.5, 0.5])
+    x, n, kkt = estimators._solve_l1_model(np.diag(d), s, lam, np.zeros(4), 1e-10, 100)
+    np.testing.assert_allclose(x, np.sign(s) * np.maximum(np.abs(s) - lam, 0.0) / d, atol=1e-14)
+    assert n == 1 and kkt == 0.0
+    # lam equal to |s_j| leaves the coordinate at exactly zero
+    x, _, _ = estimators._solve_l1_model(np.eye(2), np.array([0.5, 2.0]), np.array([0.5, 0.1]),
+                                         np.zeros(2), 1e-12, 100)
+    assert x[0] == 0.0 and x[1] == pytest.approx(1.9)
+
+
+def test_fit_exact_l1_reuses_line_search_values(monkeypatch):
+    """Per outer step: one Hessian, the line-search values and one gradient at
+    the accepted point; the trace holds the values the line search accepted."""
+    rng = np.random.default_rng(21)
+    data = _pois_data(rng, N=300, p=4)
+    calls = {"value": 0, "value_grad": 0, "hess_dense": 0}
+    for name in calls:
+        method = getattr(estimators.ExactObjective, name)
+
+        def counted(self, x, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, x)
+
+        monkeypatch.setattr(estimators.ExactObjective, name, counted)
+    lam = np.array([0.0, 2.0, 2.0, 2.0])
+    fr = fit_exact_l1(data, lam, fit_offset=True)
+    assert calls["hess_dense"] == fr.iterations
+    assert calls["value_grad"] == fr.iterations + 1
+    assert calls["value"] >= fr.iterations
+    want = exact_loglik(data, fr.params).value - float(lam @ np.abs(fr.params.theta))
+    assert fr.objective_trace[-1] == pytest.approx(want, rel=1e-14)
+    assert np.all(np.diff(fr.objective_trace) >= 0.0)
 
 
 # --- exact fits -------------------------------------------------------------

@@ -53,6 +53,29 @@ def test_bernoulli_extreme_arguments_stay_finite():
     assert 0.0 <= G1[0] and G1[-1] <= 1.0
 
 
+def _piecewise_softplus(u):
+    """The earlier G(u): u above 35, exp(u) below -35, log1p(exp(u)) between."""
+    out = np.where(u > 35.0, u, 0.0)
+    lo = u < -35.0
+    out = np.where(lo, np.exp(np.where(lo, u, 0.0)), out)
+    mid = np.abs(u) <= 35.0
+    return np.where(mid, np.log1p(np.exp(np.where(mid, u, 0.0))), out)
+
+
+def test_bernoulli_g_matches_the_piecewise_formula():
+    u = np.concatenate(
+        [
+            [-800.0, -745.0, -700.0, -60.0, -35.5, -35.0, -1e-9, 0.0, 1e-9, 35.0, 35.5, 60.0, 700.0, 800.0],
+            np.linspace(-40.0, 40.0, 801),
+        ]
+    )
+    with np.errstate(under="ignore"):
+        want = _piecewise_softplus(u)
+    got = Bernoulli().g(u)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    assert list(Bernoulli().g(np.array([-800.0, 800.0]))) == [0.0, 800.0]
+
+
 def test_bernoulli_branches_continuous_at_cut():
     fam = Bernoulli()
     for u0 in (35.0, -35.0):

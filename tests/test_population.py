@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+import elglm.estimators as estimators
+import elglm.population as population
+from elglm._cd._cd_py import cd_quadratic_l1 as cd_py
+from elglm.estimators import fit_exact_l1
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
 from elglm.population import (
@@ -241,6 +245,56 @@ def test_stagewise_pcg_budget_polishes_stage1(coupled_sim):
         L0 = exact_loglik(d1, plain.stage1[i].params).value
         L1 = exact_loglik(d1, polished.stage1[i].params).value
         assert L1 >= L0 - 1e-10
+
+
+def test_stagewise_fit_matches_the_cyclic_per_lambda_path(coupled_sim, monkeypatch):
+    """Oracle: stage 3 run lambda-outer with a fresh history design per
+    (lambda, neuron) and every L1 model solved by cyclic CD alone. The staged
+    fit, neuron-outer with support solves, finds the same couplings."""
+    data, C, basis, _ = coupled_sim
+    lam_path = np.array([30.0, 10.0, 3.0, 1.0])
+    fit = stagewise_population_fit(data, basis, C, lam_path)
+
+    def cyclic(A, s, lam, x0, tol, max_sweeps):
+        return cd_py(A, s, lam, x0, max_sweeps=max_sweeps, tol=tol)
+
+    monkeypatch.setattr(estimators, "_solve_l1_model", cyclic)
+    M, n_self = data.M, basis.n_self
+    warm = [None] * M
+    for lam, filters in zip(lam_path, fit.filters):
+        for i in range(M):
+            s1, s2 = fit.stage1[i].params, fit.stage2[i].params
+            d3 = GlmDataset(history_columns(data, basis, i), data.spikes[i], Poisson(dt=data.dt))
+            init = warm[i] or GlmParams(
+                theta0=s2.theta0, theta=np.concatenate([s2.theta[1:], np.zeros(M - 1)])
+            )
+            lam_vec = np.concatenate([np.zeros(n_self), np.full(M - 1, lam)])
+            warm[i] = fit_exact_l1(
+                d3, lam_vec, init=init, fit_offset=True, offset=s2.theta[0] * (data.X_s @ s1.theta),
+                tol=1e-8 * max(1.0, float(data.spikes[i].sum())),
+            ).params
+            want = warm[i].theta[n_self:]
+            got = np.array([filters.couplings.get((i, j), 0.0) for j in range(M) if j != i])
+            assert np.array_equal(got != 0.0, want != 0.0), (lam, i)
+            np.testing.assert_allclose(got, want, atol=1e-8)
+            np.testing.assert_allclose(filters.self_coeffs[i], warm[i].theta[:n_self], atol=1e-8)
+            assert filters.theta0[i] == pytest.approx(warm[i].theta0, abs=1e-8)
+    assert sum(len(f.couplings) for f in fit.filters) > 0
+    assert len(fit.filters[0].couplings) < len(fit.filters[-1].couplings)
+
+
+def test_stagewise_fit_builds_one_history_design_per_neuron(coupled_sim, monkeypatch):
+    data, C, basis, _ = coupled_sim
+    built = []
+
+    def counted(pop, b, target):
+        built.append(target)
+        return history_columns(pop, b, target)
+
+    monkeypatch.setattr(population, "history_columns", counted)
+    fit = stagewise_population_fit(data, basis, C, [30.0, 10.0, 3.0])
+    assert sorted(built) == list(range(data.M))
+    assert len(fit.filters) == 3
 
 
 def test_stagewise_guards(coupled_sim):
