@@ -40,7 +40,6 @@ from .el import (
     build_clt_engine,
     build_elliptic_table,
     el_loglik,
-    expected_g,
 )
 from .estimators import (
     FitResult,

@@ -510,7 +510,7 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
 
 
 def _build_potentials(data, C, R, fit_offset):
-    exact_obj = ExactObjective(data, fit_offset=fit_offset)
+    exact_obj = ExactObjective(data, fit_offset=fit_offset, R=R)
     if isinstance(data.family, Gaussian):
         engine = AnalyticQuadratic(C)
         init_fit = mele_gaussian(data, C)
@@ -519,10 +519,9 @@ def _build_potentials(data, C, R, fit_offset):
         init_fit = mpele_lnp(data, C)
     else:
         raise ConfigError("sampling setup supports Gaussian and Poisson datasets")
-    el_obj = ELObjective(engine, data, fit_offset=fit_offset)
-    init = init_fit.params
-    x0 = np.concatenate(([init.theta0], init.theta)) if fit_offset else init.theta
-    return make_potential(exact_obj, R), make_potential(el_obj, R), x0
+    el_obj = ELObjective(engine, data, fit_offset=fit_offset, R=R)
+    x0 = exact_obj.vector(init_fit.params)
+    return make_potential(exact_obj), make_potential(el_obj), x0
 
 
 def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
@@ -538,16 +537,9 @@ def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
     if target == "laplace-gaussian":
         pen = Ridge(R) if R is not None else None
         fit = fit_exact(data, penalty=pen, fit_offset=fit_offset)
-        x = (
-            np.concatenate(([fit.params.theta0], fit.params.theta))
-            if fit_offset
-            else fit.params.theta
-        )
-        H = ExactObjective(data, fit_offset=fit_offset).hess_dense(x)
-        if R is not None:
-            block = slice(1, None) if fit_offset else slice(None)
-            H[block, block] -= R.to_dense()
-        chain = laplace_gaussian_chain(x, -H, draws, seed=seed)
+        obj = ExactObjective(data, fit_offset=fit_offset, R=R)
+        x = obj.vector(fit.params)
+        chain = laplace_gaussian_chain(x, -obj.hess_dense(x), draws, seed=seed)
     else:
         if C is None:
             raise ConfigError("sampling needs a covariance C for the EL side and the init")

@@ -23,25 +23,21 @@ offset first, and Hessians are applied lazily through C matvecs.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import scipy.integrate
 import scipy.interpolate
 import scipy.special
 
 from .families import Bernoulli, CanonicalFamily, Gaussian, Poisson, family_from_config
-from .glm import GlmDataset, GlmParams, LikelihoodEval
+from .glm import ExactObjective, GlmDataset, GlmParams, LikelihoodEval
 from .structured import Dense, StructuredMatrix, from_config as structured_from_config
 
 __all__ = [
-    "ExpectationEval",
     "ExpectationEngine",
     "AnalyticQuadratic",
     "AnalyticExponential",
     "Elliptic1D",
     "GaussianCLT",
-    "expected_g",
     "el_loglik",
     "ELObjective",
     "build_elliptic_table",
@@ -52,13 +48,6 @@ __all__ = [
 
 _T_FLOOR = 1e-12  # ||theta'|| below this is treated as exactly zero
 _SIGMA_FLOOR = 1e-9
-
-
-@dataclasses.dataclass
-class ExpectationEval:
-    value: float
-    grad: np.ndarray  # (p+1,), ordered (theta0, theta)
-    hess_action: "callable"  # v (p+1,) -> H v
 
 
 def _check_mean_free(mu, what):
@@ -78,7 +67,7 @@ class ExpectationEngine:
     def supports(self, family: CanonicalFamily) -> bool:
         raise NotImplementedError
 
-    def expected_g(self, params: GlmParams) -> ExpectationEval:
+    def expected_g(self, params: GlmParams) -> LikelihoodEval:
         raise NotImplementedError
 
     def _check(self, params):
@@ -113,7 +102,7 @@ class AnalyticQuadratic(ExpectationEngine):
             w = np.asarray(w, dtype=float)
             return np.concatenate(([w[0]], self.C.matvec(w[1:])))
 
-        return ExpectationEval(value, grad, hess_action)
+        return LikelihoodEval(value, grad, hess_action)
 
     def to_config(self):
         return {"kind": "analytic_quadratic", "C": self.C.to_config()}
@@ -152,7 +141,7 @@ class AnalyticExponential(ExpectationEngine):
             out[1:] = value * (v * (w0 + vw) + C.matvec(wt))
             return out
 
-        return ExpectationEval(value, grad, hess_action)
+        return LikelihoodEval(value, grad, hess_action)
 
     def to_config(self):
         return {"kind": "analytic_exponential", "C": self.C.to_config()}
@@ -299,7 +288,7 @@ class Elliptic1D(ExpectationEngine):
                 out[1:] = f * (gth * w0 + hact(wt))
                 return out
 
-            return ExpectationEval(value, grad, hess_action)
+            return LikelihoodEval(value, grad, hess_action)
         if isinstance(self.family, Gaussian):
             # G = u^2/2: E[G(th0+q)] = th0^2/2 + T(t) for mean-zero q
             val, gth, hact = self._theta_block(v, t)
@@ -310,7 +299,7 @@ class Elliptic1D(ExpectationEngine):
                 w = np.asarray(w, dtype=float)
                 return np.concatenate(([w[0]], hact(w[1:])))
 
-            return ExpectationEval(value, grad, hess_action)
+            return LikelihoodEval(value, grad, hess_action)
         # logistic (or other) family: offset-free table only
         if th0 != 0.0:
             raise ValueError(
@@ -329,7 +318,7 @@ class Elliptic1D(ExpectationEngine):
             out[1:] = gd1 * w0 + hact(wt)
             return out
 
-        return ExpectationEval(val, grad, hess_action)
+        return LikelihoodEval(val, grad, hess_action)
 
     def to_config(self):
         return {
@@ -445,7 +434,7 @@ class GaussianCLT(ExpectationEngine):
                 out[1:] = g2 * (mu * (w0 + muw) + C.matvec(wt))
                 return out
 
-            return ExpectationEval(g0, grad, hess_action)
+            return LikelihoodEval(g0, grad, hess_action)
 
         u = mean + sigma * self._z
         a = self._w * fam.dg(u)
@@ -472,7 +461,7 @@ class GaussianCLT(ExpectationEngine):
             )
             return out
 
-        return ExpectationEval(value, grad, hess_action)
+        return LikelihoodEval(value, grad, hess_action)
 
     def to_config(self):
         return {
@@ -499,10 +488,6 @@ def build_clt_engine(family, C=None, mu=None, samples=None, m: int = 50) -> Gaus
     return GaussianCLT(family, C, mu=mu, m=m)
 
 
-def expected_g(engine: ExpectationEngine, params: GlmParams) -> ExpectationEval:
-    return engine.expected_g(params)
-
-
 def el_loglik(engine: ExpectationEngine, data: GlmDataset, params: GlmParams) -> LikelihoodEval:
     """EL value/gradient/Hessian over (theta0, theta); cost independent of N.
 
@@ -526,38 +511,15 @@ def el_loglik(engine: ExpectationEngine, data: GlmDataset, params: GlmParams) ->
     return LikelihoodEval(value=value, grad=grad, hess_action=hess_action)
 
 
-class ELObjective:
-    """Callable view of the EL mirroring glm.ExactObjective's interface."""
+class ELObjective(ExactObjective):
+    """glm.ExactObjective with the EL in place of the exact log-likelihood."""
 
-    def __init__(self, engine, data, fit_offset=False, theta0=0.0):
+    def __init__(self, engine, data, fit_offset=False, theta0=0.0, R=None):
+        super().__init__(data, fit_offset=fit_offset, theta0=theta0, R=R)
         self.engine = engine
-        self.data = data
-        self.fit_offset = bool(fit_offset)
-        self.theta0 = float(theta0)
-        self.dim = data.p + 1 if fit_offset else data.p
 
-    def _params(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.fit_offset:
-            return GlmParams(theta=x[1:], theta0=x[0])
-        return GlmParams(theta=x, theta0=self.theta0)
-
-    def value(self, x):
-        return el_loglik(self.engine, self.data, self._params(x)).value
-
-    def value_grad(self, x):
-        ev = el_loglik(self.engine, self.data, self._params(x))
-        return ev.value, (ev.grad if self.fit_offset else ev.grad[1:])
-
-    def hess_action(self, x):
-        ev = el_loglik(self.engine, self.data, self._params(x))
-        if self.fit_offset:
-            return ev.hess_action
-
-        def action(v):
-            return ev.hess_action(np.concatenate(([0.0], v)))[1:]
-
-        return action
+    def _loglik(self, x):
+        return el_loglik(self.engine, self.data, self.params(x))
 
     def hess_dense(self, x):
         act = self.hess_action(x)

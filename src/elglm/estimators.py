@@ -278,75 +278,21 @@ def mpele_l1_path(data, C, lam_path, n_factor=None, **kw):
     return out
 
 
-class _PenalizedExact:
-    """Exact log-likelihood plus optional ridge, over theta or (theta0, theta)."""
-
-    def __init__(self, data, R=None, fit_offset=False, theta0=0.0, offset=None):
-        self.base = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, offset=offset)
-        self.R = R
-        self.fit_offset = fit_offset
-        self.dim = self.base.dim
-        self._Rd = None if R is None else R.to_dense()
-
-    def _theta(self, x):
-        return x[1:] if self.fit_offset else x
-
-    def value(self, x):
-        try:
-            v = self.base.value(x)
-        except FloatingPointError:
-            return -np.inf
-        if self.R is not None:
-            th = self._theta(x)
-            v -= 0.5 * float(th @ self.R.matvec(th))
-        return v
-
-    def value_grad(self, x):
-        v, g = self.base.value_grad(x)
-        if self.R is not None:
-            th = self._theta(x)
-            rth = self.R.matvec(th)
-            v -= 0.5 * float(th @ rth)
-            if self.fit_offset:
-                g = g - np.concatenate(([0.0], rth))
-            else:
-                g = g - rth
-        return v, g
-
-    def hess_dense(self, x):
-        H = self.base.hess_dense(x)
-        if self._Rd is not None:
-            if self.fit_offset:
-                H[1:, 1:] -= self._Rd
-            else:
-                H = H - self._Rd
-        return H
-
-
 def _armijo(obj_value, x, d, v0, slope, alpha0=1.0):
-    """Backtracking line search; returns (alpha, value) with value >= v0."""
+    """Backtracking line search; returns (alpha, value) with value >= v0.
+
+    A trial point whose value overflows counts as a rejected step.
+    """
     alpha = alpha0
     while alpha > 1e-14:
-        v = obj_value(x + alpha * d)
+        try:
+            v = obj_value(x + alpha * d)
+        except FloatingPointError:
+            v = -np.inf
         if np.isfinite(v) and v >= v0 + ARMIJO_C * alpha * slope:
             return alpha, v
         alpha *= ARMIJO_SHRINK
     return 0.0, v0
-
-
-def _init_vector(init, dim, fit_offset):
-    if init is None:
-        return np.zeros(dim)
-    x = np.concatenate(([init.theta0], init.theta)) if fit_offset else init.theta.copy()
-    if x.size != dim:
-        raise ValueError("init has the wrong dimension")
-    return np.asarray(x, dtype=float)
-
-
-def _result_params(x, fit_offset, theta0=0.0):
-    if fit_offset:
-        return GlmParams(theta=x[1:], theta0=x[0])
-    return GlmParams(theta=x, theta0=theta0)
 
 
 def fit_exact(
@@ -394,8 +340,8 @@ def fit_exact(
             solver_tag="fit_exact_cg",
         )
 
-    obj = _PenalizedExact(data, R=R, fit_offset=fit_offset, theta0=theta0)
-    x = _init_vector(init, obj.dim, fit_offset)
+    obj = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, R=R)
+    x = np.zeros(obj.dim) if init is None else obj.vector(init)
     t0 = time.perf_counter()
     trace = []
     converged = False
@@ -422,7 +368,7 @@ def fit_exact(
         x = x + alpha * d
         it += 1
     return FitResult(
-        params=_result_params(x, fit_offset, theta0),
+        params=obj.params(x),
         objective_trace=trace,
         iterations=it,
         wall_time=time.perf_counter() - t0,
@@ -456,7 +402,7 @@ def fit_exact_l1(
     unpenalized coordinates; the offset, when fitted, is never penalized.
     One outer pass solves Gaussian-family problems exactly.
     """
-    smooth = _PenalizedExact(data, R=R, fit_offset=fit_offset, theta0=theta0, offset=offset)
+    smooth = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, offset=offset, R=R)
     dim = smooth.dim
     lam_theta = np.broadcast_to(np.asarray(lam, dtype=float), (data.p,)).copy()
     if np.any(lam_theta < 0):
@@ -466,7 +412,7 @@ def fit_exact_l1(
     def pen_value(x):
         return smooth.value(x) - float(lam_vec @ np.abs(x))
 
-    x = _init_vector(init, dim, fit_offset)
+    x = np.zeros(dim) if init is None else smooth.vector(init)
     t0 = time.perf_counter()
     v, g = smooth.value_grad(x)
     trace = [v - float(lam_vec @ np.abs(x))]
@@ -486,15 +432,10 @@ def fit_exact_l1(
         d = x_cd - x
         v_new = trace[-1]
         if np.max(np.abs(d)) > 0:
-            alpha = 1.0
-            while alpha > 1e-14:
-                v_try = pen_value(x + alpha * d)
-                if v_try >= trace[-1]:
-                    break
-                alpha *= ARMIJO_SHRINK
-            if alpha > 1e-14:
+            # slope 0: accept the first trial step that does not descend
+            alpha, v_new = _armijo(pen_value, x, d, v_new, 0.0)
+            if alpha > 0.0:
                 x = x + alpha * d
-                v_new = v_try
                 _, g = smooth.value_grad(x)
         trace.append(v_new)
         g_theta = g[1:] if fit_offset else g
@@ -509,7 +450,7 @@ def fit_exact_l1(
             f"fit_exact_l1 did not converge in {max_outer} passes (kkt residual {kkt:.3e})"
         )
     return FitResult(
-        params=_result_params(x, fit_offset, theta0),
+        params=smooth.params(x),
         objective_trace=trace,
         iterations=it,
         wall_time=time.perf_counter() - t0,
@@ -545,8 +486,8 @@ def pcg_refine(
     R = penalty.R if isinstance(penalty, Ridge) else None
     if penalty is not None and not isinstance(penalty, Ridge):
         raise ValueError("pcg_refine supports only None or Ridge penalties")
-    obj = _PenalizedExact(data, R=R, fit_offset=fit_offset, theta0=theta0)
-    x = _init_vector(init, obj.dim, fit_offset)
+    obj = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, R=R)
+    x = np.zeros(obj.dim) if init is None else obj.vector(init)
 
     if preconditioner is None:
         def apply_pre(g):
@@ -596,7 +537,7 @@ def pcg_refine(
     if tol > 0 and np.max(np.abs(g)) <= tol * max(1.0, abs(v)):
         converged = True
     return FitResult(
-        params=_result_params(x, fit_offset, theta0),
+        params=obj.params(x),
         objective_trace=trace,
         iterations=it,
         wall_time=time.perf_counter() - t0,

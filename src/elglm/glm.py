@@ -148,51 +148,82 @@ def exact_loglik(data: GlmDataset, params: GlmParams, offset=None) -> Likelihood
 
 
 class ExactObjective:
-    """Callable view of the exact log-likelihood for optimizers and samplers.
+    """Log-likelihood plus an optional Gaussian prior, as a function of a vector.
 
     ``fit_offset=False`` freezes theta0 and exposes a p-dimensional
     objective; ``fit_offset=True`` exposes the joint (theta0, theta) problem
-    over a (p+1)-vector ordered (theta0, theta).
+    over a (p+1)-vector ordered (theta0, theta). ``R`` adds the ridge
+    -theta'R theta/2 on the filter; the offset always carries a flat prior.
+    Subclasses swap the likelihood by overriding ``_loglik``.
     """
 
-    def __init__(self, data: GlmDataset, fit_offset=False, theta0=0.0, offset=None):
+    def __init__(self, data: GlmDataset, fit_offset=False, theta0=0.0, offset=None, R=None):
         self.data = data
         self.fit_offset = bool(fit_offset)
         self.theta0 = float(theta0)
         self.offset = offset
+        self.R = R
         self.dim = data.p + 1 if fit_offset else data.p
+        self._theta = slice(int(self.fit_offset), None)  # the filter's coordinates in x
 
-    def _params(self, x):
+    def params(self, x) -> GlmParams:
         x = np.asarray(x, dtype=float)
         if self.fit_offset:
             return GlmParams(theta=x[1:], theta0=x[0])
         return GlmParams(theta=x, theta0=self.theta0)
 
+    def vector(self, params: GlmParams) -> np.ndarray:
+        """Inverse of ``params``; a frozen offset is dropped."""
+        x = np.concatenate(([params.theta0], params.theta)) if self.fit_offset else params.theta
+        if x.size != self.dim:
+            raise ValueError(f"params give a vector of length {x.size}, expected {self.dim}")
+        return np.array(x, dtype=float)
+
+    def _loglik(self, x) -> LikelihoodEval:
+        return exact_loglik(self.data, self.params(x), offset=self.offset)
+
     def value(self, x):
-        return exact_loglik(self.data, self._params(x), offset=self.offset).value
+        v = self._loglik(x).value
+        if self.R is not None:
+            th = np.asarray(x, dtype=float)[self._theta]
+            v -= 0.5 * float(th @ self.R.matvec(th))
+        return v
 
     def value_grad(self, x):
-        ev = exact_loglik(self.data, self._params(x), offset=self.offset)
-        grad = ev.grad if self.fit_offset else ev.grad[1:]
-        return ev.value, grad
+        ev = self._loglik(x)
+        v = ev.value
+        g = ev.grad if self.fit_offset else ev.grad[1:]
+        if self.R is not None:
+            th = np.asarray(x, dtype=float)[self._theta]
+            rth = self.R.matvec(th)
+            v -= 0.5 * float(th @ rth)
+            g[self._theta] -= rth
+        return v, g
 
     def hess_action(self, x):
-        ev = exact_loglik(self.data, self._params(x), offset=self.offset)
-        if self.fit_offset:
-            return ev.hess_action
+        ev, R, block = self._loglik(x), self.R, self._theta
 
         def action(v):
-            return ev.hess_action(np.concatenate(([0.0], v)))[1:]
+            v = np.asarray(v, dtype=float)
+            if self.fit_offset:
+                out = ev.hess_action(v)
+            else:
+                out = ev.hess_action(np.concatenate(([0.0], v)))[1:]
+            if R is not None:
+                out[block] -= R.matvec(v[block])
+            return out
 
         return action
 
     def hess_dense(self, x):
         """Explicit Hessian as one weighted gram product, O(N p^2)."""
         data, fam = self.data, self.data.family
-        u = _linear_predictor(data, self._params(x), self.offset)
+        u = _linear_predictor(data, self.params(x), self.offset)
         d2 = fam.scale * fam.weight * fam.d2g(u)
         Xw = data.X * d2[:, None]
         Htt = -(data.X.T @ Xw)
+        if self.R is not None:
+            Htt -= self.R.to_dense()
         if not self.fit_offset:
             return Htt
         H = np.empty((data.p + 1, data.p + 1))

@@ -193,24 +193,13 @@ def chain_summary(chain: Chain, coordinates=None) -> dict:
     }
 
 
-def make_potential(objective, R: StructuredMatrix = None):
-    """Negative log posterior from a log-likelihood objective plus an optional
-    Gaussian prior precision R on the theta block (the offset coordinate, when
-    present, stays flat)."""
-    off = getattr(objective, "fit_offset", False)
+def make_potential(objective):
+    """Negative log posterior (value, gradient) from a log-posterior objective;
+    the prior is the objective's ridge ``R``."""
 
     def f(x):
         val, grad = objective.value_grad(x)
-        u, gu = -val, -grad
-        if R is not None:
-            th = x[1:] if off else x
-            Rt = R.matvec(th)
-            u += 0.5 * float(th @ Rt)
-            if off:
-                gu[1:] += Rt
-            else:
-                gu += Rt
-        return u, gu
+        return -val, -grad
 
     return f
 

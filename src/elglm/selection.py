@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .estimators import Ridge, fit_exact
 from .families import Gaussian, Poisson
-from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
+from .glm import ExactObjective, GlmDataset, GlmParams
 from .structured import ScaledIdentity, StructuredMatrix, add_structured
 
 __all__ = [
@@ -103,7 +103,6 @@ def laplace_evidence(
     form with -H = C N_s + R; it additionally drops the profile constants
     N_s log(N_s / (N dt)) - N_s, which do not involve R.
     """
-    theta = params.theta
     if mode == "el":
         if C is None:
             raise ValueError("mode='el' requires the stimulus covariance C")
@@ -112,6 +111,7 @@ def laplace_evidence(
         if data.N_s <= 0:
             raise ValueError("no events: N_s = 0")
         A = add_structured(C.scaled(data.N_s), R)
+        theta = params.theta
         quad = float(theta @ A.matvec(theta))
         value = (
             -0.5 * quad
@@ -120,25 +120,14 @@ def laplace_evidence(
             - 0.5 * A.logdet_shifted(0.0)
         )
     elif mode == "exact":
-        x = np.concatenate(([params.theta0], theta)) if fit_offset else theta
-        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0)
-        H = obj.hess_dense(x)
-        Rd = R.to_dense()
-        if fit_offset:
-            H[1:, 1:] -= Rd
-        else:
-            H = H - Rd
+        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0, R=R)
+        x = obj.vector(params)
         try:
-            cf = scipy.linalg.cho_factor(-H)
+            cf = scipy.linalg.cho_factor(-obj.hess_dense(x))
         except scipy.linalg.LinAlgError as e:
             raise np.linalg.LinAlgError(f"posterior Hessian not negative definite: {e}")
         logdet_negH = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-        value = (
-            exact_loglik(data, params).value
-            + 0.5 * R.logdet_shifted(0.0)
-            - 0.5 * float(theta @ R.matvec(theta))
-            - 0.5 * logdet_negH
-        )
+        value = obj.value(x) + 0.5 * R.logdet_shifted(0.0) - 0.5 * logdet_negH
     else:
         raise ValueError("mode must be 'exact' or 'el'")
     return EvidenceResult(
@@ -228,9 +217,8 @@ def rhat_fixed_point(
     warm = init
     for _ in range(max_iter):
         beta = betas[-1]
-        fit = fit_exact(
-            data, penalty=Ridge(ScaledIdentity(p, beta)), init=warm, fit_offset=fit_offset
-        )
+        R = ScaledIdentity(p, beta)
+        fit = fit_exact(data, penalty=Ridge(R), init=warm, fit_offset=fit_offset)
         fits.append(fit)
         warm = fit.params
         theta = fit.params.theta
@@ -239,16 +227,8 @@ def rhat_fixed_point(
             raise ZeroDivisionError(
                 "theta_MAP = 0: the fixed point diverges; this is the R_hat = infinity regime"
             )
-        x = (
-            np.concatenate(([fit.params.theta0], theta)) if fit_offset else theta
-        )
-        obj = ExactObjective(data, fit_offset=fit_offset)
-        H = obj.hess_dense(x)
-        if fit_offset:
-            H[1:, 1:] -= beta * np.eye(p)
-        else:
-            H -= beta * np.eye(p)
-        Hinv = np.linalg.inv(-H)
+        obj = ExactObjective(data, fit_offset=fit_offset, R=R)
+        Hinv = np.linalg.inv(-obj.hess_dense(obj.vector(fit.params)))
         tr = float(np.trace(Hinv[1:, 1:] if fit_offset else Hinv))
         beta_new = (p - beta * tr) / nrm2
         if beta_new <= 0 or not np.isfinite(beta_new):

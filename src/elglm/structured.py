@@ -536,4 +536,7 @@ def from_config(config: dict) -> StructuredMatrix:
     kind = config.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown structured-matrix kind: {kind!r}")
-    return KINDS[kind](config)
+    try:
+        return KINDS[kind](config)
+    except KeyError as e:
+        raise ValueError(f"{kind} matrix config is missing the field {e.args[0]!r}") from None

@@ -301,8 +301,8 @@ def test_criterion_08_el_hmc_against_exact_hmc_and_profile():
     data = GlmDataset(X, r, Poisson())
     C = ScaledIdentity(p, 1.0)
 
-    u_exact = make_potential(ExactObjective(data, fit_offset=True), None)
-    u_el = make_potential(ELObjective(AnalyticExponential(C), data, fit_offset=True), None)
+    u_exact = make_potential(ExactObjective(data, fit_offset=True))
+    u_el = make_potential(ELObjective(AnalyticExponential(C), data, fit_offset=True))
     init = mpele_lnp(data, C).params
     x0 = np.concatenate(([init.theta0], init.theta))
 

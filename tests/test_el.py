@@ -356,22 +356,29 @@ def test_el_objective_fd(fit_offset):
     X = rng.standard_normal((N, p))
     r = rng.poisson(0.8, size=N).astype(float)
     data = GlmDataset(X=X, r=r, family=Poisson(dt=0.7))
-    obj = ELObjective(AnalyticExponential(_spd(rng, p)), data, fit_offset=fit_offset, theta0=-0.1)
-    x = 0.2 * rng.standard_normal(obj.dim)
-    val, grad = obj.value_grad(x)
-    assert val == pytest.approx(obj.value(x), rel=1e-14)
-    h = 1e-6
-    for j in range(obj.dim):
-        e = np.zeros(obj.dim)
-        e[j] = h
-        fd = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
-        assert grad[j] == pytest.approx(fd, abs=1e-4, rel=1e-5)
-    H = obj.hess_dense(x)
-    assert H.shape == (obj.dim, obj.dim)
-    w = rng.standard_normal(obj.dim)
-    assert np.allclose(H @ w, obj.hess_action(x)(w), rtol=1e-12)
-    fd = (np.array(obj.value_grad(x + h * w)[1]) - np.array(obj.value_grad(x - h * w)[1])) / (2 * h)
-    assert np.allclose(H @ w, fd, atol=1e-4, rtol=1e-4)
+    engine = AnalyticExponential(_spd(rng, p))
+    for R in (None, Diagonal(np.array([0.5, 1.5, 4.0]))):
+        obj = ELObjective(engine, data, fit_offset=fit_offset, theta0=-0.1, R=R)
+        x = 0.2 * rng.standard_normal(obj.dim)
+        val, grad = obj.value_grad(x)
+        assert val == pytest.approx(obj.value(x), rel=1e-14)
+        if R is not None:
+            th = x[1:] if fit_offset else x
+            flat = ELObjective(engine, data, fit_offset=fit_offset, theta0=-0.1)
+            want = flat.value(x) - 0.5 * float(th @ R.matvec(th))
+            assert val == pytest.approx(want, rel=1e-14)
+        h = 1e-6
+        for j in range(obj.dim):
+            e = np.zeros(obj.dim)
+            e[j] = h
+            fd = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
+            assert grad[j] == pytest.approx(fd, abs=1e-4, rel=1e-5)
+        H = obj.hess_dense(x)
+        assert H.shape == (obj.dim, obj.dim)
+        w = rng.standard_normal(obj.dim)
+        assert np.allclose(H @ w, obj.hess_action(x)(w), rtol=1e-12)
+        g_up, g_dn = obj.value_grad(x + h * w)[1], obj.value_grad(x - h * w)[1]
+        assert np.allclose(H @ w, (g_up - g_dn) / (2 * h), atol=1e-4, rtol=1e-4)
 
 
 def test_engine_config_round_trips():

@@ -262,6 +262,33 @@ def test_fit_exact_l1_reuses_line_search_values(monkeypatch):
     assert np.all(np.diff(fr.objective_trace) >= 0.0)
 
 
+def test_line_searches_reject_overflowing_steps(monkeypatch):
+    """A trial step whose likelihood overflows is rejected by the line search
+    (the objective itself keeps raising), in Newton and in prox-Newton."""
+    rng = np.random.default_rng(0)
+    r = np.zeros(40)
+    r[0] = 1e6
+    data = GlmDataset(X=rng.standard_normal((40, 2)), r=r, family=Poisson())
+    overflows = [0]
+    value = estimators.ExactObjective.value
+
+    def counted(self, x):
+        try:
+            return value(self, x)
+        except FloatingPointError:
+            overflows[0] += 1
+            raise
+
+    monkeypatch.setattr(estimators.ExactObjective, "value", counted)
+    for fit in (
+        lambda: fit_exact(data, fit_offset=True),
+        lambda: fit_exact_l1(data, 0.5, fit_offset=True),
+    ):
+        overflows[0] = 0
+        assert fit().converged
+        assert overflows[0] >= 1
+
+
 # --- exact fits -------------------------------------------------------------
 
 def test_fit_exact_gaussian_is_least_squares():

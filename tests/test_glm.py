@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from elglm.glm import (
     save_dataset,
     simulate_responses,
 )
+from elglm.structured import Diagonal
 
 
 def _dataset(family, seed=0, N=120, p=5):
@@ -78,8 +81,9 @@ def test_hess_action_matches_gradient_differences(family):
 
 def test_hess_dense_matches_hess_action():
     data, params = _dataset(Poisson(), seed=5)
-    for fit_offset in (False, True):
-        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0)
+    ridge = Diagonal(np.linspace(0.5, 2.5, data.p))
+    for fit_offset, R in itertools.product((False, True), (None, ridge)):
+        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0, R=R)
         x = (
             np.concatenate(([params.theta0], params.theta))
             if fit_offset
@@ -91,6 +95,34 @@ def test_hess_dense_matches_hess_action():
             e = np.zeros(H.shape[0])
             e[j] = 1.0
             np.testing.assert_allclose(H[:, j], act(e), rtol=1e-10, atol=1e-12)
+        if R is not None:
+            # the ridge enters the value, gradient and Hessian on theta only
+            flat = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0)
+            th = params.theta
+            block = slice(1, None) if fit_offset else slice(None)
+            H_flat = flat.hess_dense(x)
+            H_flat[block, block] -= R.to_dense()
+            np.testing.assert_allclose(H, H_flat, rtol=1e-14)
+            v, g = obj.value_grad(x)
+            v_flat, g_flat = flat.value_grad(x)
+            g_flat[block] -= R.matvec(th)
+            assert v == pytest.approx(v_flat - 0.5 * float(th @ R.matvec(th)), rel=1e-14)
+            assert obj.value(x) == v
+            np.testing.assert_allclose(g, g_flat, rtol=1e-14)
+
+
+def test_objective_vector_round_trip():
+    data, params = _dataset(Poisson(), seed=5)
+    rng = np.random.default_rng(8)
+    for fit_offset in (False, True):
+        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0)
+        x = rng.standard_normal(obj.dim)
+        np.testing.assert_array_equal(obj.vector(obj.params(x)), x)
+        back = obj.params(obj.vector(params))
+        np.testing.assert_array_equal(back.theta, params.theta)
+        assert back.theta0 == params.theta0
+        with pytest.raises(ValueError, match="length"):
+            obj.vector(GlmParams(np.zeros(data.p + 1), theta0=params.theta0))
 
 
 def test_offset_vector_shifts_predictor():

@@ -189,7 +189,7 @@ def test_make_potential_prior_and_flat_offset():
     obj = ELObjective(AnalyticExponential(C), data, fit_offset=True)
     R = ScaledIdentity(p, 2.5)
     u_flat = make_potential(obj)
-    u_pri = make_potential(obj, R=R)
+    u_pri = make_potential(ELObjective(AnalyticExponential(C), data, fit_offset=True, R=R))
     x = 0.1 * rng.standard_normal(p + 1)
     v0, g0 = u_flat(x)
     v1, g1 = u_pri(x)

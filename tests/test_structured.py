@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elglm.structured import (
+    KINDS,
     Banded,
     Circulant,
     Dense,
@@ -92,6 +93,29 @@ def test_scaled_and_config_round_trip(m):
     back = from_config(m.to_config())
     assert type(back) is type(m)
     np.testing.assert_allclose(back.to_dense(), m.to_dense(), rtol=1e-12)
+
+
+# the first field each kind's constructor reads
+_FIRST_FIELD = {
+    "scaled_identity": "dim",
+    "diagonal": "values",
+    "banded": "diagonals",
+    "circulant": "first_row",
+    "dense": "values",
+    "kronecker": "factors",
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_from_config_missing_field_names_kind_and_field(kind):
+    assert set(_FIRST_FIELD) == set(KINDS)
+    names_both = f"{kind} .*'{_FIRST_FIELD[kind]}'"
+    with pytest.raises(ValueError, match=names_both):
+        from_config({"kind": kind})
+    # a Kronecker factor reports its own kind
+    factors = [{"kind": kind}, ScaledIdentity(2, 1.0).to_config()]
+    with pytest.raises(ValueError, match=names_both):
+        from_config({"kind": "kronecker", "factors": factors})
 
 
 @pytest.mark.parametrize("m", CASES, ids=IDS)
