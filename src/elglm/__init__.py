@@ -8,7 +8,6 @@ the stimulus covariance so that likelihood evaluations cost O(p), not O(Np).
 
 __version__ = "0.1.0"
 
-from ._cd import BACKEND as cd_backend
 from .structured import (
     Banded,
     Circulant,

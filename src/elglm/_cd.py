@@ -1,7 +1,6 @@
-"""Pure-Python coordinate descent for L1-penalized quadratic maximization.
+"""Coordinate descent for L1-penalized quadratic maximization.
 
-Reference implementation of the compiled kernel in ``_cd_fast.pyx``; the two
-must agree bit-for-bit in exact arithmetic. Problem solved:
+Problem solved:
 
     maximize  s' theta - 0.5 theta' A theta - sum_j lam_j |theta_j|
 

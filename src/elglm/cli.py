@@ -25,9 +25,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._cd import BACKEND as CD_BACKEND
-from ._cd import cd_quadratic_l1
-from ._cd._cd_py import cd_quadratic_l1 as cd_py
 from .el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_loglik
 from .estimators import (
     Ridge,
@@ -69,6 +66,12 @@ from .simulate import (
     spatiotemporal_covariance,
 )
 from .structured import KINDS as MATRIX_KINDS, ScaledIdentity, from_config as structured_from_config
+
+
+# The coordinate-descent kernel has a single pure-Python implementation,
+# elglm._cd. The name stays because benchmark reports record it
+# (perfbench/run.py reads it for the run environment).
+CD_BACKEND = "python"
 
 
 class ConfigError(Exception):
@@ -279,10 +282,9 @@ SCHEMAS = {
         "properties": {
             "seed": {"type": "integer"},
             "experiment": {"type": "string"},
-            "mode": {"enum": ["el_scaling", "cd_backends"]},
+            "mode": {"enum": ["el_scaling"]},
             "N_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             "p": {"type": "integer", "minimum": 1},
-            "p_grid": {"type": "array", "items": {"type": "integer", "minimum": 2}},
             "repeats": {"type": "integer", "minimum": 1},
         },
     },
@@ -711,39 +713,26 @@ def _median_time(fn, repeats):
 
 
 def _run_bench(cfg: dict, outdir: pathlib.Path, seed: int):
+    """Mode ``el_scaling``: EL and exact evaluation times over an N grid."""
     rng = np.random.default_rng(seed)
     repeats = cfg.get("repeats", 5)
-    if cfg["mode"] == "el_scaling":
-        p = cfg.get("p", 100)
-        N_grid = cfg.get("N_grid", [1000, 10000, 100000])
-        theta = rng.standard_normal(p) / np.sqrt(p)
-        params = GlmParams(theta0=0.0, theta=theta)
-        C = ScaledIdentity(p, 1.0)
-        engine = AnalyticExponential(C)
-        fam = Poisson()
-        rows = []
-        for N in N_grid:
-            X = rng.standard_normal((N, p))
-            r = simulate_responses(fam, X, params, seed=int(rng.integers(2**31)))
-            data = GlmDataset(X, r, fam)
-            t_el = _median_time(lambda: el_loglik(engine, data, params), repeats)
-            t_exact = _median_time(lambda: exact_loglik(data, params), repeats)
-            rows.append((N, t_el, t_exact, t_exact / t_el))
-        _write_csv(outdir / "bench.csv", ["N", "t_el", "t_exact", "speedup"], rows)
-        return ["bench.csv"]
-    p_grid = cfg.get("p_grid", [50, 200, 500])
+    p = cfg.get("p", 100)
+    N_grid = cfg.get("N_grid", [1000, 10000, 100000])
+    theta = rng.standard_normal(p) / np.sqrt(p)
+    params = GlmParams(theta0=0.0, theta=theta)
+    C = ScaledIdentity(p, 1.0)
+    engine = AnalyticExponential(C)
+    fam = Poisson()
     rows = []
-    for p in p_grid:
-        B = rng.standard_normal((p, p))
-        A = B.T @ B / p + np.eye(p)
-        s = rng.standard_normal(p)
-        lam = np.full(p, 0.1)
-        x0 = np.zeros(p)
-        t_py = _median_time(lambda: cd_py(A, s, lam, x0.copy()), repeats)
-        t_active = _median_time(lambda: cd_quadratic_l1(A, s, lam, x0.copy()), repeats)
-        rows.append((p, t_py, t_active, CD_BACKEND))
-    _write_csv(outdir / "cd_bench.csv", ["p", "t_python", "t_active_backend", "backend"], rows)
-    return ["cd_bench.csv"]
+    for N in N_grid:
+        X = rng.standard_normal((N, p))
+        r = simulate_responses(fam, X, params, seed=int(rng.integers(2**31)))
+        data = GlmDataset(X, r, fam)
+        t_el = _median_time(lambda: el_loglik(engine, data, params), repeats)
+        t_exact = _median_time(lambda: exact_loglik(data, params), repeats)
+        rows.append((N, t_el, t_exact, t_exact / t_el))
+    _write_csv(outdir / "bench.csv", ["N", "t_el", "t_exact", "speedup"], rows)
+    return ["bench.csv"]
 
 
 _RUNNERS = {
@@ -792,7 +781,6 @@ def run_experiment(subcommand: str, cfg: dict, out_root="out") -> pathlib.Path:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "elglm": __version__,
-            "cd_backend": CD_BACKEND,
         },
         "outputs": sorted(outputs),
     }

@@ -6,16 +6,23 @@ expectation under the stimulus distribution,
     EL = scale * ( theta0 * N_s + s' theta - N * weight * E[G(theta0 + x' theta)] ),
 
 so after the one-time contraction s = X'r its evaluation cost does not grow
-with N. Four engines cover the cases where the expectation is tractable:
+with N. Under each engine's stimulus law the expectation depends on
+(theta0, theta) only through the mean m = theta0 (+ mu' theta) and the norm
+t = ||theta'|| = sqrt(theta' C theta). An engine therefore supplies one
+scalar function, ``_scalars(m, t^2)``, returning F(m, t) and the five
+derivatives (F_m, F_mm, F_t/t, F_mt/t, (F_tt - F_t/t)/t^2), each at its
+finite limit as t -> 0; ``ExpectationEngine.expected_g`` applies the chain
+rule to them once for all engines. Four engines cover the cases where the
+expectation is tractable:
 
-- AnalyticQuadratic: Gaussian family, E = (theta0^2 + theta' C theta)/2.
+- AnalyticQuadratic: Gaussian family, F = (m^2 + t^2)/2.
 - AnalyticExponential: Poisson with Gaussian stimuli (the Gaussian MGF),
-  E = exp(theta0 + theta' C theta / 2).
-- Elliptic1D: any elliptically symmetric stimulus law; E depends on theta
-  only through ||theta'|| = sqrt(theta' C theta) and is precomputed on a 1-D
-  grid by sphere-coordinate quadrature, then interpolated.
-- GaussianCLT: non-elliptic stimuli; q = x' theta treated as Gaussian with
-  matched mean/variance and integrated by Gauss-Hermite quadrature.
+  F = exp(m + t^2/2), equal to all five of its derivatives.
+- Elliptic1D: any elliptically symmetric stimulus law; F is read from 1-D
+  tables in t, precomputed by sphere-coordinate quadrature and interpolated.
+- GaussianCLT: non-elliptic stimuli; q = x' theta treated as N(m, t^2)
+  and integrated by Gauss-Hermite quadrature. The only engine with a
+  stimulus mean mu.
 
 All gradients/Hessians are over (theta0, theta) jointly, ordered with the
 offset first, and Hessians are applied lazily through C matvecs.
@@ -56,9 +63,17 @@ def _check_mean_free(mu, what):
 
 
 class ExpectationEngine:
-    """Base: evaluator of E[G(theta0 + x' theta)] with derivatives."""
+    """Base: evaluator of E[G(theta0 + x' theta)] = F(m, t) with derivatives.
+
+    An engine supplies ``_scalars(m, t2)``, t2 = t^2, returning
+
+        (F, F_m, F_mm, a, b, c),  a = F_t/t,  b = F_mt/t,  c = (F_tt - F_t/t)/t^2,
+
+    each at its finite limit as t -> 0; ``expected_g`` does the rest.
+    """
 
     C: StructuredMatrix
+    mu = None  # stimulus mean; only GaussianCLT carries one
 
     @property
     def p(self):
@@ -67,12 +82,41 @@ class ExpectationEngine:
     def supports(self, family: CanonicalFamily) -> bool:
         raise NotImplementedError
 
-    def expected_g(self, params: GlmParams) -> LikelihoodEval:
+    def _scalars(self, m: float, t2: float):
         raise NotImplementedError
 
-    def _check(self, params):
+    def expected_g(self, params: GlmParams) -> LikelihoodEval:
+        """With v = C theta and d = w0 + mu' w_theta, the chain rule gives
+
+        grad = [F_m, F_m mu + a v],
+        H w  = [h0, mu h0 + v (b d + c v'w_theta) + a C w_theta],
+        h0   = F_mm d + b v'w_theta.
+        """
         if params.p != self.p:
             raise ValueError(f"theta has length {params.p}, engine expects {self.p}")
+        theta, mu, C = params.theta, self.mu, self.C
+        v = C.matvec(theta)
+        t2 = max(float(theta @ v), 0.0)
+        m = params.theta0 if mu is None else params.theta0 + float(mu @ theta)
+        F, F_m, F_mm, a, b, c = self._scalars(m, t2)
+        grad = np.empty(self.p + 1)
+        grad[0] = F_m
+        grad[1:] = a * v if mu is None else F_m * mu + a * v
+
+        def hess_action(w):
+            w = np.asarray(w, dtype=float)
+            w0, wt = w[0], w[1:]
+            vw = float(v @ wt)
+            d = w0 if mu is None else w0 + float(mu @ wt)
+            h0 = F_mm * d + b * vw
+            out = np.empty(w.size)
+            out[0] = h0
+            out[1:] = v * (b * d + c * vw) + a * C.matvec(wt)
+            if mu is not None:
+                out[1:] += h0 * mu
+            return out
+
+        return LikelihoodEval(F, grad, hess_action)
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -92,17 +136,8 @@ class AnalyticQuadratic(ExpectationEngine):
     def supports(self, family):
         return isinstance(family, Gaussian)
 
-    def expected_g(self, params):
-        self._check(params)
-        v = self.C.matvec(params.theta)
-        value = 0.5 * (params.theta0**2 + float(params.theta @ v))
-        grad = np.concatenate(([params.theta0], v))
-
-        def hess_action(w):
-            w = np.asarray(w, dtype=float)
-            return np.concatenate(([w[0]], self.C.matvec(w[1:])))
-
-        return LikelihoodEval(value, grad, hess_action)
+    def _scalars(self, m, t2):
+        return 0.5 * (m**2 + t2), m, 1.0, 1.0, 0.0, 0.0
 
     def to_config(self):
         return {"kind": "analytic_quadratic", "C": self.C.to_config()}
@@ -111,8 +146,8 @@ class AnalyticQuadratic(ExpectationEngine):
 class AnalyticExponential(ExpectationEngine):
     """Poisson with Gaussian stimuli: E = exp(theta0 + theta' C theta / 2).
 
-    The Hessian is E * [[1, v'], [v, v v' + C]] with v = C theta, applied
-    lazily so only C matvecs are ever needed.
+    F = exp(m + t^2/2) equals all five of its scaled derivatives, so the
+    Hessian is E * [[1, v'], [v, v v' + C]] with v = C theta.
     """
 
     def __init__(self, C: StructuredMatrix, mu=None):
@@ -122,26 +157,12 @@ class AnalyticExponential(ExpectationEngine):
     def supports(self, family):
         return isinstance(family, Poisson)
 
-    def expected_g(self, params):
-        self._check(params)
-        v = self.C.matvec(params.theta)
+    def _scalars(self, m, t2):
         with np.errstate(over="ignore"):
-            value = float(np.exp(params.theta0 + 0.5 * float(params.theta @ v)))
-        if not np.isfinite(value):
+            F = float(np.exp(m + 0.5 * t2))
+        if not np.isfinite(F):
             raise FloatingPointError("E[exp] overflow; theta' C theta too large")
-        grad = value * np.concatenate(([1.0], v))
-        C = self.C
-
-        def hess_action(w):
-            w = np.asarray(w, dtype=float)
-            w0, wt = w[0], w[1:]
-            vw = float(v @ wt)
-            out = np.empty(w.size)
-            out[0] = value * (w0 + vw)
-            out[1:] = value * (v * (w0 + vw) + C.matvec(wt))
-            return out
-
-        return LikelihoodEval(value, grad, hess_action)
+        return F, F, F, F, F, F
 
     def to_config(self):
         return {"kind": "analytic_exponential", "C": self.C.to_config()}
@@ -230,95 +251,44 @@ class Elliptic1D(ExpectationEngine):
     def supports(self, family):
         return type(family) is type(self.family)
 
-    def _norm(self, theta):
-        v = self.C.matvec(theta)
-        t = float(np.sqrt(max(float(theta @ v), 0.0)))
+    def _radial(self, which, t):
+        """Table ``which`` at t: (T, T'/t, (T'' - T'/t)/t^2)."""
+        T = float(self._interp[which](t))
+        if t < _T_FLOOR:
+            # even function of t: T(t) = T(0) + c2 t^2/2 + O(t^4), so T'/t -> c2,
+            # found by a secant over the first segment (the PCHIP second
+            # derivative is unreliable at the boundary knot); the third
+            # scalar enters only times |v|^2 = O(t^2) and is taken as 0
+            tv = self._values[which]
+            t1 = self.knots[1]
+            return T, 2.0 * (float(tv[1]) - float(tv[0])) / (t1 * t1), 0.0
+        td, tdd = float(self._interp_d[which](t)), float(self._interp_dd[which](t))
+        return T, td / t, (tdd - td / t) / (t * t)
+
+    def _scalars(self, m, t2):
+        t = float(np.sqrt(t2))
         if t > self.r_max * (1 + 1e-12):
             raise ValueError(
                 f"||theta'|| = {t:.6g} outside table domain [0, {self.r_max:.6g}]; "
                 "rebuild the table with a larger r_max"
             )
-        return v, min(t, self.r_max)
-
-    def _theta_block(self, v, t, which=0):
-        """Value, gradient, and lazy Hessian action of T(||theta'||) in theta."""
-        T, Td, Tdd = self._interp[which], self._interp_d[which], self._interp_dd[which]
-        val = float(T(t))
-        if t < _T_FLOOR:
-            # even function of t: T'(0)=0 and T(t) = T(0) + c2 t^2/2 + O(t^4),
-            # so a secant over the first segment recovers c2 (the PCHIP second
-            # derivative is unreliable at the boundary knot)
-            tv = self._values[which]
-            t1 = self.knots[1]
-            c2 = 2.0 * (float(tv[1]) - float(tv[0])) / (t1 * t1)
-            grad = np.zeros(self.p)
-
-            def hess_action(w):
-                return c2 * self.C.matvec(w)
-
-            return val, grad, hess_action
-        td, tdd = float(Td(t)), float(Tdd(t))
-        grad = (td / t) * v
-        C = self.C
-
-        def hess_action(w):
-            w = np.asarray(w, dtype=float)
-            vw = float(v @ w)
-            return (tdd / (t * t) - td / t**3) * vw * v + (td / t) * C.matvec(w)
-
-        return val, grad, hess_action
-
-    def expected_g(self, params):
-        self._check(params)
-        th0 = params.theta0
-        v, t = self._norm(params.theta)
-        p = self.p
+        t = min(t, self.r_max)
+        T, a, c = self._radial(0, t)
         if isinstance(self.family, Poisson):
-            # G = exp: E[G(th0+q)] = e^{th0} T(t), all derivatives share the factor
-            f = float(np.exp(th0))
-            val, gth, hact = self._theta_block(v, t)
-            value = f * val
-            grad = np.concatenate(([value], f * gth))
-
-            def hess_action(w):
-                w = np.asarray(w, dtype=float)
-                w0, wt = w[0], w[1:]
-                out = np.empty(p + 1)
-                out[0] = value * w0 + f * float(gth @ wt)
-                out[1:] = f * (gth * w0 + hact(wt))
-                return out
-
-            return LikelihoodEval(value, grad, hess_action)
+            # G = exp: E[G(m+q)] = e^m T(t), all derivatives share the factor
+            f = float(np.exp(m))
+            F = f * T
+            return F, F, F, f * a, f * a, f * c
         if isinstance(self.family, Gaussian):
-            # G = u^2/2: E[G(th0+q)] = th0^2/2 + T(t) for mean-zero q
-            val, gth, hact = self._theta_block(v, t)
-            value = 0.5 * th0 * th0 + val
-            grad = np.concatenate(([th0], gth))
-
-            def hess_action(w):
-                w = np.asarray(w, dtype=float)
-                return np.concatenate(([w[0]], hact(w[1:])))
-
-            return LikelihoodEval(value, grad, hess_action)
+            # G = u^2/2: E[G(m+q)] = m^2/2 + T(t) for mean-zero q
+            return 0.5 * m * m + T, m, 1.0, a, 0.0, c
         # logistic (or other) family: offset-free table only
-        if th0 != 0.0:
+        if m != 0.0:
             raise ValueError(
                 f"Elliptic1D with {self.family.name}: nonzero offsets are unsupported"
             )
-        val, gth, hact = self._theta_block(v, t, which=0)
-        d1, gd1, _ = self._theta_block(v, t, which=1)
-        d2 = float(self._interp[2](t))
-        grad = np.concatenate(([d1], gth))
-
-        def hess_action(w):
-            w = np.asarray(w, dtype=float)
-            w0, wt = w[0], w[1:]
-            out = np.empty(p + 1)
-            out[0] = d2 * w0 + float(gd1 @ wt)
-            out[1:] = gd1 * w0 + hact(wt)
-            return out
-
-        return LikelihoodEval(val, grad, hess_action)
+        T1, b, _ = self._radial(1, t)
+        return T, T1, float(self._interp[2](t)), a, b, c
 
     def to_config(self):
         return {
@@ -411,57 +381,26 @@ class GaussianCLT(ExpectationEngine):
     def supports(self, family):
         return type(family) is type(self.family)
 
-    def expected_g(self, params):
-        self._check(params)
+    def _scalars(self, m, t2):
         fam = self.family
-        v = self.C.matvec(params.theta)
-        var = max(float(params.theta @ v), 0.0)
-        sigma = np.sqrt(var)
-        mean = params.theta0 + float(self.mu @ params.theta)
-        p = self.p
+        sigma = float(np.sqrt(t2))
         if sigma < _SIGMA_FLOOR:
             # degenerate q: point mass at the mean
-            g0, g1, g2 = float(fam.g(mean)), float(fam.dg(mean)), float(fam.d2g(mean))
-            grad = np.concatenate(([g1], g1 * self.mu + g2 * v))
-            mu, C = self.mu, self.C
-
-            def hess_action(w):
-                w = np.asarray(w, dtype=float)
-                w0, wt = w[0], w[1:]
-                muw = float(mu @ wt)
-                out = np.empty(p + 1)
-                out[0] = g2 * (w0 + muw)
-                out[1:] = g2 * (mu * (w0 + muw) + C.matvec(wt))
-                return out
-
-            return LikelihoodEval(g0, grad, hess_action)
-
-        u = mean + sigma * self._z
-        a = self._w * fam.dg(u)
-        b = self._w * fam.d2g(u)
-        value = float(np.sum(self._w * fam.g(u)))
-        A, Az = float(np.sum(a)), float(np.sum(a * self._z))
-        B, Bz, Bzz = float(np.sum(b)), float(np.sum(b * self._z)), float(np.sum(b * self._z**2))
-        vs = v / sigma
-        grad = np.concatenate(([A], A * self.mu + Az * vs))
-        mu, C = self.mu, self.C
-
-        def hess_action(w):
-            w = np.asarray(w, dtype=float)
-            w0, wt = w[0], w[1:]
-            muw = float(mu @ wt)
-            vsw = float(vs @ wt)
-            d_mean = w0 + muw  # directional derivative of the mean
-            out = np.empty(p + 1)
-            out[0] = B * d_mean + Bz * vsw
-            out[1:] = (
-                mu * (B * d_mean + Bz * vsw)
-                + vs * (Bz * d_mean + Bzz * vsw)
-                + (Az / sigma) * (C.matvec(wt) - vs * vsw)
-            )
-            return out
-
-        return LikelihoodEval(value, grad, hess_action)
+            g2 = float(fam.d2g(m))
+            return float(fam.g(m)), float(fam.dg(m)), g2, g2, 0.0, 0.0
+        z = self._z
+        u = m + sigma * z
+        wg1 = self._w * fam.dg(u)  # weighted G' and G'' at the nodes
+        wg2 = self._w * fam.d2g(u)
+        a = float(np.sum(wg1 * z)) / sigma  # F_t = E[G'(u) z]
+        return (
+            float(np.sum(self._w * fam.g(u))),
+            float(np.sum(wg1)),
+            float(np.sum(wg2)),
+            a,
+            float(np.sum(wg2 * z)) / sigma,
+            (float(np.sum(wg2 * z**2)) - a) / (sigma * sigma),
+        )
 
     def to_config(self):
         return {

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elglm._cd import BACKEND, cd_quadratic_l1
-from elglm._cd._cd_py import cd_quadratic_l1 as cd_py
+from elglm._cd import cd_quadratic_l1
 
 
 def _soft(z, lam):
@@ -83,17 +82,6 @@ def test_kkt_residual_reported():
     on = x != 0
     assert np.max(np.abs(g[on] - lam[on] * np.sign(x[on])), initial=0.0) <= 1e-9
     assert np.all(np.abs(g[~on]) <= lam[~on] + 1e-9)
-
-
-def test_python_and_active_backend_agree():
-    A, s, lam = _random_problem(20, 5)
-    x_a, _, _ = cd_quadratic_l1(A, s, lam, np.zeros(20), tol=1e-12)
-    x_p, _, _ = cd_py(A, s, lam, np.zeros(20), tol=1e-12)
-    np.testing.assert_allclose(x_a, x_p, atol=1e-13)
-
-
-def test_backend_tag():
-    assert BACKEND in ("compiled", "python")
 
 
 def test_warm_start_converges_faster():

@@ -221,7 +221,6 @@ def test_fit_layout_and_manifest(tmp_path, capsys):
     assert manifest["config"] == cfg
     assert outdir.name.endswith(manifest["config_sha256"][:8])
     assert manifest["versions"]["numpy"] == np.__version__
-    assert manifest["versions"]["cd_backend"] in ("compiled", "python")
     assert manifest["outputs"] == ["fit.json", "trace.csv"]
     for name in manifest["outputs"]:
         assert (outdir / name).exists()
@@ -497,18 +496,6 @@ def test_population_scores_every_lambda_on_one_design_per_neuron(tmp_path, monke
             for i in range(pop.M)
         ]
         assert float(row["mean_bits_per_s"]) == float(np.mean(bits))
-
-
-def test_bench_cd_backends(tmp_path, capsys):
-    cfg = {"seed": 1, "mode": "cd_backends", "p_grid": [16], "repeats": 2}
-    code, out, _ = run_cli(capsys, ["bench", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
-    assert code == 0
-    lines = (pathlib.Path(out.strip()) / "cd_bench.csv").read_text().splitlines()
-    assert lines[0] == "p,t_python,t_active_backend,backend"
-    p, t_py, t_active, backend = lines[1].split(",")
-    assert p == "16"
-    assert float(t_py) > 0 and float(t_active) > 0
-    assert backend in ("compiled", "python")
 
 
 def test_bench_el_scaling(tmp_path, capsys):

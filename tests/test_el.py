@@ -27,16 +27,18 @@ def _spd(rng, p):
     return Dense(A @ A.T / p + 0.5 * np.eye(p))
 
 
-def _fd_check(engine, params, atol=1e-6):
-    """Finite-difference the engine's E[G] over (theta0, theta)."""
+def _fd_check(engine, params, atol=1e-6, offset=True):
+    """Finite-difference the engine's E[G] over (theta0, theta), or over theta
+    alone (``offset=False``) for engines that reject a nonzero theta0."""
     ev = engine.expected_g(params)
     x0 = np.concatenate(([params.theta0], params.theta))
     h = 1e-5
+    start = 0 if offset else 1
 
     def val(x):
         return engine.expected_g(GlmParams(theta=x[1:], theta0=x[0])).value
 
-    for j in range(x0.size):
+    for j in range(start, x0.size):
         e = np.zeros_like(x0)
         e[j] = h
         fd = (val(x0 + e) - val(x0 - e)) / (2 * h)
@@ -48,6 +50,7 @@ def _fd_check(engine, params, atol=1e-6):
     rng = np.random.default_rng(7)
     for _ in range(3):
         w = rng.standard_normal(x0.size)
+        w[:start] = 0.0
         fd = (grad(x0 + h * w) - grad(x0 - h * w)) / (2 * h)
         hv = ev.hess_action(w)
         assert np.allclose(hv, fd, atol=10 * atol, rtol=1e-4)
@@ -214,10 +217,17 @@ def test_elliptic_norm_outside_domain(gauss_table):
 
 
 def test_elliptic_fd_consistency(gauss_table):
+    # one table per family branch; the logistic table admits theta0 = 0 only
     eng, _, C = gauss_table
+    dens = radial_from_h(lambda t: np.exp(-0.5 * t), P_ELL)
+    cases = [(eng, 0.2)] + [
+        (build_elliptic_table(fam, C, radial_density=dens, r_max=4.0), th0)
+        for fam, th0 in ((Gaussian(), 0.2), (Bernoulli(), 0.0))
+    ]
     rng = np.random.default_rng(9)
     th = _at_norm(rng, C, 1.0)
-    _fd_check(eng, GlmParams(theta=th, theta0=0.2), atol=5e-4)
+    for table, th0 in cases:
+        _fd_check(table, GlmParams(theta=th, theta0=th0), atol=5e-4, offset=th0 != 0.0)
 
 
 def test_elliptic_gaussian_family_offset_shift():
@@ -322,6 +332,8 @@ def test_clt_degenerate_sigma():
     # grad wrt theta0 is G'(mean); wrt theta is G'(mean)*mu at theta=0
     assert ev.grad[0] == pytest.approx(np.exp(0.7), rel=1e-14)
     assert np.allclose(ev.grad[1:], np.exp(0.7) * mu)
+    # the point-mass Hessian against differences taken off the degenerate point
+    _fd_check(clt, GlmParams(theta=np.zeros(2), theta0=0.7))
 
 
 def test_clt_rejects_bad_args():

@@ -8,7 +8,7 @@ import scipy.optimize
 from test_cd import brute_force_l1
 
 import elglm.estimators as estimators
-from elglm._cd._cd_py import cd_quadratic_l1 as cd_py
+from elglm._cd import cd_quadratic_l1
 from elglm.el import AnalyticExponential, el_loglik
 from elglm.estimators import (
     L1,
@@ -210,7 +210,7 @@ def test_support_solve_matches_cyclic_cd_and_enumeration(monkeypatch):
         lam[rng.permutation(p)[:2]] = 0.0
         x0 = rng.standard_normal(p) * 2.0
         x, n, kkt = estimators._solve_l1_model(A, s, lam, x0, 1e-12, 10000)
-        x_cd, n_cd, _ = cd_py(A, s, lam, x0, max_sweeps=10000, tol=1e-12)
+        x_cd, n_cd, _ = cd_quadratic_l1(A, s, lam, x0, max_sweeps=10000, tol=1e-12)
         x_star = brute_force_l1(A, s, lam)
         assert kkt <= 1e-12
         assert np.array_equal(x != 0.0, x_star != 0.0), seed
@@ -260,6 +260,26 @@ def test_fit_exact_l1_reuses_line_search_values(monkeypatch):
     want = exact_loglik(data, fr.params).value - float(lam @ np.abs(fr.params.theta))
     assert fr.objective_trace[-1] == pytest.approx(want, rel=1e-14)
     assert np.all(np.diff(fr.objective_trace) >= 0.0)
+
+
+def test_fit_exact_takes_one_gradient_per_trace_entry(monkeypatch):
+    """Newton reports the gradient norm from its last loop gradient, which
+    was taken at the returned point, instead of one more exact pass."""
+    rng = np.random.default_rng(0)
+    data = _pois_data(rng, N=500, p=5)
+    calls = [0]
+    value_grad = estimators.ExactObjective.value_grad
+
+    def counted(self, x):
+        calls[0] += 1
+        return value_grad(self, x)
+
+    monkeypatch.setattr(estimators.ExactObjective, "value_grad", counted)
+    fr = fit_exact(data, fit_offset=True)
+    assert fr.converged
+    assert calls[0] == len(fr.objective_trace)
+    g = exact_loglik(data, fr.params).grad
+    assert fr.diagnostics["grad_norm"] == float(np.max(np.abs(g)))
 
 
 def test_line_searches_reject_overflowing_steps(monkeypatch):

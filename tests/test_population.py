@@ -5,7 +5,7 @@ import pytest
 
 import elglm.estimators as estimators
 import elglm.population as population
-from elglm._cd._cd_py import cd_quadratic_l1 as cd_py
+from elglm._cd import cd_quadratic_l1
 from elglm.estimators import fit_exact_l1
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
@@ -256,7 +256,7 @@ def test_stagewise_fit_matches_the_cyclic_per_lambda_path(coupled_sim, monkeypat
     fit = stagewise_population_fit(data, basis, C, lam_path)
 
     def cyclic(A, s, lam, x0, tol, max_sweeps):
-        return cd_py(A, s, lam, x0, max_sweeps=max_sweeps, tol=tol)
+        return cd_quadratic_l1(A, s, lam, x0, max_sweeps=max_sweeps, tol=tol)
 
     monkeypatch.setattr(estimators, "_solve_l1_model", cyclic)
     M, n_self = data.M, basis.n_self
