@@ -191,7 +191,7 @@ SCHEMAS = {
                     "lam": {"type": "number", "minimum": 0},
                     "lam_path": {"type": "array", "items": {"type": "number"}},
                     "k": {"type": "integer", "minimum": 0},
-                    "method": {"enum": ["newton", "cg"]},
+                    "method": {"enum": ["newton", "newton_cg"]},
                     "fit_offset": {"type": "boolean"},
                 },
             },
@@ -406,8 +406,15 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     elif kind == "mpele":
         fit = mpele_lnp(data, C, R=R)
     elif kind == "exact":
+        # truncated Newton from the MPELE/MELE wherever the EL Hessian is known
+        el_start = C is not None and isinstance(data.family, (Gaussian, Poisson))
+        method = est.get("method", "newton_cg" if el_start else "newton")
+        if method == "newton_cg" and not el_start:
+            raise ConfigError(
+                "method 'newton_cg' needs 'C' in the config and Gaussian or Poisson data"
+            )
         pen = Ridge(R) if R is not None else None
-        fit = fit_exact(data, penalty=pen, method=est.get("method", "newton"), fit_offset=fit_offset)
+        fit = fit_exact(data, penalty=pen, method=method, fit_offset=fit_offset, C=C)
     elif kind == "exact_l1":
         if "lam" not in est:
             raise ConfigError("estimator exact_l1 needs 'lam'")
@@ -748,11 +755,6 @@ _RUNNERS = {
 
 # ------------------------------------------------------------ entry point
 
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def run_experiment(subcommand: str, cfg: dict, out_root="out") -> pathlib.Path:
     """Validate, run, and write artifacts plus a manifest; returns the
     artifact directory. Partial outputs are removed if the run fails."""
@@ -761,7 +763,9 @@ def run_experiment(subcommand: str, cfg: dict, out_root="out") -> pathlib.Path:
     _validate(cfg, subcommand)
     seed = int(cfg.get("seed", 0))
     experiment = cfg.get("experiment", subcommand)
-    h = _config_hash(cfg)
+    # the canonical config text: hashed here, and embedded in the manifest as is
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    h = hashlib.sha256(blob.encode()).hexdigest()
     stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
     outdir = pathlib.Path(out_root) / experiment / f"{stamp}-{h[:8]}"
     outdir.mkdir(parents=True, exist_ok=False)
@@ -774,7 +778,6 @@ def run_experiment(subcommand: str, cfg: dict, out_root="out") -> pathlib.Path:
         "experiment": experiment,
         "subcommand": subcommand,
         "seed": seed,
-        "config": cfg,
         "config_sha256": h,
         "versions": {
             "python": sys.version.split()[0],
@@ -784,7 +787,10 @@ def run_experiment(subcommand: str, cfg: dict, out_root="out") -> pathlib.Path:
         },
         "outputs": sorted(outputs),
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    # appended as the last key, so a large config (a dense C) is serialized
+    # once per run
+    text = json.dumps(manifest, indent=2)
+    (outdir / "manifest.json").write_text(f'{text[:-2]},\n  "config": {blob}\n}}')
     return outdir
 
 

@@ -460,6 +460,13 @@ class ELObjective(ExactObjective):
     def _loglik(self, x):
         return el_loglik(self.engine, self.data, self.params(x))
 
+    # the EL costs O(p) per pass, so its partial passes are the full one
+    def _loglik_value(self, x):
+        return self._loglik(x).value
+
+    def _loglik_grad(self, x):
+        return self._loglik(x).grad
+
     def hess_dense(self, x):
         act = self.hess_action(x)
         eye = np.eye(self.dim)

@@ -295,6 +295,54 @@ def _armijo(obj_value, x, d, v0, slope, alpha0=1.0):
     return 0.0, v0
 
 
+def _el_count(data: GlmDataset) -> float:
+    """n in the EL Hessian blockdiag(n, n C + R): N_s for Poisson data, N otherwise."""
+    return max(float(data.N_s), 1.0) if isinstance(data.family, Poisson) else float(data.N)
+
+
+def _block_preconditioner(theta_block: StructuredMatrix, n_offset: float, fit_offset: bool):
+    """g -> M^{-1} g for M = blockdiag(n_offset, theta_block), the offset block
+    present only when the offset is fitted; theta_block is applied through its
+    structured solve."""
+
+    def apply(g):
+        if not fit_offset:
+            return theta_block.solve_shifted(0.0, g)
+        out = np.empty_like(g)
+        out[0] = g[0] / n_offset
+        out[1:] = theta_block.solve_shifted(0.0, g[1:])
+        return out
+
+    return apply
+
+
+def _pcg(action, b, apply_pre, rtol, max_iter):
+    """Truncated preconditioned CG for A d = b with A = -(Hessian), given as
+    ``action``; stops at ||b - A d|| <= rtol ||b|| or at a direction of
+    nonpositive curvature. Returns (d, Hessian actions taken)."""
+    d = np.zeros_like(b)
+    res = b.copy()
+    z = apply_pre(res)
+    q = z.copy()
+    rz = float(res @ z)
+    target = rtol * float(np.linalg.norm(b))
+    for k in range(1, max_iter + 1):
+        Aq = action(q)
+        curv = float(q @ Aq)
+        if curv <= 0.0:
+            return (d if k > 1 else z), k
+        step = rz / curv
+        d = d + step * q
+        res = res - step * Aq
+        if float(np.linalg.norm(res)) <= target:
+            return d, k
+        z = apply_pre(res)
+        rz_new = float(res @ z)
+        q = z + (rz_new / rz) * q
+        rz = rz_new
+    return d, max_iter
+
+
 def fit_exact(
     data: GlmDataset,
     penalty=None,
@@ -304,15 +352,27 @@ def fit_exact(
     theta0: float = 0.0,
     tol: float = 1e-8,
     max_iter: int = 200,
+    C: StructuredMatrix = None,
 ) -> FitResult:
     """Maximize the exact penalized log-likelihood (MLE / MAP).
 
-    Smooth penalties (None, Ridge) run damped Newton or nonlinear CG with
-    Armijo backtracking, stopping when the gradient infinity-norm drops below
-    tol * max(1, |value|). L1-type penalties dispatch to the coordinate
-    descent solver (:func:`fit_exact_l1`). The Gaussian family with no
-    penalty and p >= N raises the non-unique-MLE error instead of returning
-    an arbitrary solution.
+    Smooth penalties (None, Ridge) run one of two ascent methods with Armijo
+    backtracking, stopping when the gradient infinity-norm drops below
+    tol * max(1, |value|):
+
+    - ``"newton"`` solves with the dense O(N p^2) Hessian on every step,
+      starting from ``init`` or zero;
+    - ``"newton_cg"`` (truncated Newton; Poisson or Gaussian data and the
+      stimulus covariance ``C`` required) starts from ``init`` or the MPELE
+      (MELE for Gaussian data) and solves each step by CG on O(Np) Hessian
+      actions, preconditioned by the EL Hessian blockdiag(n, n C + R) with
+      n = N_s (Poisson) or N (Gaussian), to the forcing term
+      0.1 min(0.5, sqrt(||g||)) (Eisenstat & Walker 1996).
+
+    L1-type penalties dispatch to the coordinate descent solver
+    (:func:`fit_exact_l1`). The Gaussian family with no penalty and p >= N
+    raises the non-unique-MLE error instead of returning an arbitrary
+    solution.
     """
     if isinstance(penalty, (L1, RidgePlusL1)):
         R = penalty.R if isinstance(penalty, RidgePlusL1) else None
@@ -325,40 +385,47 @@ def fit_exact(
     dim = data.p + (1 if fit_offset else 0)
     if R is None and isinstance(data.family, Gaussian) and dim >= data.N:
         raise ValueError(f"non-unique MLE: p={dim} >= N={data.N} with no regularization")
-    if method not in ("newton", "cg"):
-        raise ValueError("method must be 'newton' or 'cg'")
-    if method == "cg":
-        return pcg_refine(
-            data,
-            penalty=penalty,
-            init=init,
-            k=max_iter,
-            preconditioner=None,
-            fit_offset=fit_offset,
-            theta0=theta0,
-            tol=tol,
-            solver_tag="fit_exact_cg",
-        )
-
+    if method not in ("newton", "newton_cg"):
+        raise ValueError("method must be 'newton' or 'newton_cg'")
     obj = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, R=R)
-    x = np.zeros(obj.dim) if init is None else obj.vector(init)
+    if method == "newton_cg":
+        if C is None:
+            raise ValueError("method 'newton_cg' needs the stimulus covariance C")
+        if isinstance(data.family, Poisson):
+            start = mpele_lnp
+        elif isinstance(data.family, Gaussian):
+            start = mele_gaussian
+        else:
+            raise ValueError("method 'newton_cg' needs Poisson or Gaussian data")
+        n = _el_count(data)
+        apply_pre = _block_preconditioner(_system(C, n, R), n, fit_offset)
+        x = obj.vector(start(data, C, R=R).params if init is None else init)
+    else:
+        x = np.zeros(obj.dim) if init is None else obj.vector(init)
     t0 = time.perf_counter()
     trace = []
     converged = False
-    it = 0
+    it = actions = 0
     while True:
-        v, g = obj.value_grad(x)
+        if method == "newton":
+            v, g = obj.value_grad(x)
+        else:
+            v, g, hess = obj.value_grad_hess(x)
         trace.append(v)
         if np.max(np.abs(g)) <= tol * max(1.0, abs(v)):
             converged = True
             break
         if it >= max_iter:
             break
-        H = obj.hess_dense(x)
-        try:
-            d = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError as e:
-            raise np.linalg.LinAlgError(f"Hessian numerically singular: {e}")
+        if method == "newton":
+            try:
+                d = np.linalg.solve(-obj.hess_dense(x), g)
+            except np.linalg.LinAlgError as e:
+                raise np.linalg.LinAlgError(f"Hessian numerically singular: {e}")
+        else:
+            forcing = 0.1 * min(0.5, np.sqrt(np.linalg.norm(g)))
+            d, k = _pcg(lambda q: -hess(q), g, apply_pre, forcing, obj.dim)
+            actions += k
         slope = float(g @ d)
         if slope <= 0:  # solve hit a flat/indefinite direction; fall back to gradient
             d, slope = g, float(g @ g)
@@ -367,14 +434,17 @@ def fit_exact(
             break
         x = x + alpha * d
         it += 1
+    diagnostics = {"grad_norm": float(np.max(np.abs(g)))}  # every exit leaves g at x
+    if method == "newton_cg":
+        diagnostics["hess_actions"] = actions
     return FitResult(
         params=obj.params(x),
         objective_trace=trace,
         iterations=it,
         wall_time=time.perf_counter() - t0,
         converged=converged,
-        solver="fit_exact_newton",
-        diagnostics={"grad_norm": float(np.max(np.abs(g)))},  # every exit leaves g at x
+        solver=f"fit_exact_{method}",
+        diagnostics=diagnostics,
     )
 
 
@@ -469,14 +539,14 @@ def pcg_refine(
     fit_offset: bool = False,
     theta0: float = 0.0,
     tol: float = 0.0,
-    solver_tag: str = "pcg_refine",
 ) -> FitResult:
     """k nonlinear PCG iterations on the exact penalized likelihood from init.
 
-    ``preconditioner`` approximates the negative EL Hessian in theta (C N_s,
-    or C N_s + R with a ridge); its inverse is applied through a structured
-    solve. When the offset is fitted the preconditioner
-    extends block-diagonally with N_s for the offset coordinate. k=0 returns
+    ``preconditioner`` approximates the negative EL Hessian in theta (C n,
+    or C n + R with a ridge, n = N_s for Poisson data and N otherwise); its
+    inverse is applied through a structured solve. When the offset is fitted
+    the preconditioner extends block-diagonally with n for the offset
+    coordinate, as in ``fit_exact(method="newton_cg")``. k=0 returns
     init unchanged. Iterations stop early only if the gradient vanishes
     (infinity-norm <= tol * max(1, |value|); tol=0 disables the check), so
     callers get the full trace they asked for.
@@ -493,15 +563,7 @@ def pcg_refine(
         def apply_pre(g):
             return g
     else:
-        n_s = max(data.N_s, 1.0)
-
-        def apply_pre(g):
-            if fit_offset:
-                out = np.empty_like(g)
-                out[0] = g[0] / n_s
-                out[1:] = preconditioner.solve_shifted(0.0, g[1:])
-                return out
-            return preconditioner.solve_shifted(0.0, g)
+        apply_pre = _block_preconditioner(preconditioner, _el_count(data), fit_offset)
 
     t0 = time.perf_counter()
     v, g = obj.value_grad(x)
@@ -542,6 +604,6 @@ def pcg_refine(
         iterations=it,
         wall_time=time.perf_counter() - t0,
         converged=converged,
-        solver=solver_tag,
+        solver="pcg_refine",
         diagnostics={"grad_norm": float(np.max(np.abs(g)))},
     )

@@ -108,6 +108,29 @@ def _linear_predictor(data: GlmDataset, params: GlmParams, offset):
     return u
 
 
+def _finite(values, u, what):
+    """values, after checking that every entry is finite; else raise naming the
+    first offending data index."""
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmax(~np.isfinite(values)))
+        raise FloatingPointError(f"non-finite {what} at data index {bad} (u={u[bad]})")
+    return values
+
+
+def _value(data: GlmDataset, u, gu) -> float:
+    fam = data.family
+    return fam.scale * (float(u @ data.r) - fam.weight * float(np.sum(gu)))
+
+
+def _grad(data: GlmDataset, dgu) -> np.ndarray:
+    fam = data.family
+    resid = data.r - fam.weight * dgu
+    grad = np.empty(data.p + 1)
+    grad[0] = fam.scale * float(np.sum(resid))
+    grad[1:] = fam.scale * (data.X.T @ resid)
+    return grad
+
+
 def exact_loglik(data: GlmDataset, params: GlmParams, offset=None) -> LikelihoodEval:
     """Exact log-likelihood over (theta0, theta), up to const(theta).
 
@@ -120,19 +143,11 @@ def exact_loglik(data: GlmDataset, params: GlmParams, offset=None) -> Likelihood
     fam = data.family
     u = _linear_predictor(data, params, offset)
     with np.errstate(over="ignore"):  # finiteness is checked explicitly below
-        gu = fam.g(u)
-    if not np.all(np.isfinite(gu)):
-        bad = int(np.argmax(~np.isfinite(gu)))
-        raise FloatingPointError(f"non-finite G(u) at data index {bad} (u={u[bad]})")
-    w, scale = fam.weight, fam.scale
-    value = scale * (float(u @ data.r) - w * float(np.sum(gu)))
-
-    resid = data.r - w * fam.dg(u)
-    grad = np.empty(data.p + 1)
-    grad[0] = scale * float(np.sum(resid))
-    grad[1:] = scale * (data.X.T @ resid)
-
-    d2 = w * fam.d2g(u)
+        gu = _finite(fam.g(u), u, "G(u)")
+    value = _value(data, u, gu)
+    grad = _grad(data, fam.dg(u))
+    d2 = fam.weight * fam.d2g(u)
+    scale = fam.scale
 
     def hess_action(v):
         v = np.asarray(v, dtype=float)
@@ -147,6 +162,23 @@ def exact_loglik(data: GlmDataset, params: GlmParams, offset=None) -> Likelihood
     return LikelihoodEval(value=value, grad=grad, hess_action=hess_action)
 
 
+def _exact_value(data: GlmDataset, params: GlmParams, offset=None) -> float:
+    """``exact_loglik(...).value`` alone, bit for bit: one matvec, no gradient."""
+    u = _linear_predictor(data, params, offset)
+    with np.errstate(over="ignore"):
+        gu = _finite(data.family.g(u), u, "G(u)")
+    return _value(data, u, gu)
+
+
+def _exact_grad(data: GlmDataset, params: GlmParams, offset=None) -> np.ndarray:
+    """``exact_loglik(...).grad`` alone, bit for bit; raises where G'(u) is not
+    finite."""
+    u = _linear_predictor(data, params, offset)
+    with np.errstate(over="ignore"):
+        dgu = _finite(data.family.dg(u), u, "G'(u)")
+    return _grad(data, dgu)
+
+
 class ExactObjective:
     """Log-likelihood plus an optional Gaussian prior, as a function of a vector.
 
@@ -154,7 +186,9 @@ class ExactObjective:
     objective; ``fit_offset=True`` exposes the joint (theta0, theta) problem
     over a (p+1)-vector ordered (theta0, theta). ``R`` adds the ridge
     -theta'R theta/2 on the filter; the offset always carries a flat prior.
-    Subclasses swap the likelihood by overriding ``_loglik``.
+    Subclasses swap the likelihood by overriding its three passes:
+    ``_loglik`` (value, gradient and Hessian action), ``_loglik_value`` and
+    ``_loglik_grad``.
     """
 
     def __init__(self, data: GlmDataset, fit_offset=False, theta0=0.0, offset=None, R=None):
@@ -182,26 +216,46 @@ class ExactObjective:
     def _loglik(self, x) -> LikelihoodEval:
         return exact_loglik(self.data, self.params(x), offset=self.offset)
 
-    def value(self, x):
-        v = self._loglik(x).value
+    def _loglik_value(self, x) -> float:
+        return _exact_value(self.data, self.params(x), offset=self.offset)
+
+    def _loglik_grad(self, x) -> np.ndarray:
+        return _exact_grad(self.data, self.params(x), offset=self.offset)
+
+    def _prior_value(self, x, v):
+        if self.R is None:
+            return v
+        th = np.asarray(x, dtype=float)[self._theta]
+        return v - 0.5 * float(th @ self.R.matvec(th))
+
+    def _prior_grad(self, x, g):
+        """g (length p+1) restricted to x's coordinates, plus the prior's gradient."""
+        g = g if self.fit_offset else g[1:]
         if self.R is not None:
-            th = np.asarray(x, dtype=float)[self._theta]
-            v -= 0.5 * float(th @ self.R.matvec(th))
-        return v
+            g[self._theta] -= self.R.matvec(np.asarray(x, dtype=float)[self._theta])
+        return g
+
+    def value(self, x):
+        """Value-only pass; equals ``value_grad(x)[0]`` bit for bit."""
+        return self._prior_value(x, self._loglik_value(x))
+
+    def grad(self, x):
+        """Gradient-only pass; equals ``value_grad(x)[1]`` bit for bit."""
+        return self._prior_grad(x, self._loglik_grad(x))
 
     def value_grad(self, x):
+        return self.value_grad_hess(x)[:2]
+
+    def value_grad_hess(self, x):
+        """(value, gradient, Hessian action) from one likelihood pass."""
         ev = self._loglik(x)
-        v = ev.value
-        g = ev.grad if self.fit_offset else ev.grad[1:]
-        if self.R is not None:
-            th = np.asarray(x, dtype=float)[self._theta]
-            rth = self.R.matvec(th)
-            v -= 0.5 * float(th @ rth)
-            g[self._theta] -= rth
-        return v, g
+        return self._prior_value(x, ev.value), self._prior_grad(x, ev.grad), self._action(ev)
 
     def hess_action(self, x):
-        ev, R, block = self._loglik(x), self.R, self._theta
+        return self._action(self._loglik(x))
+
+    def _action(self, ev: LikelihoodEval):
+        R, block = self.R, self._theta
 
         def action(v):
             v = np.asarray(v, dtype=float)

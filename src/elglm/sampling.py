@@ -63,15 +63,23 @@ def _leapfrog(grad_u, x, rho, step, n_steps, g0):
     return x, rho, g
 
 
+def _value_of(potential):
+    """x -> U(x): the potential's ``.value`` pass if it has one (see
+    make_potential), else the first entry of its (U, gradU) pair."""
+    return getattr(potential, "value", None) or (lambda z: potential(z)[0])
+
+
 def _run_chain(u_dyn, u_acc, init, step, n_leapfrog, draws, burn_in, seed, target):
-    """u_dyn(x) -> (U, gradU) drives the trajectories; u_acc(x) -> U scores the
-    Metropolis test. They coincide for plain HMC."""
+    """u_dyn(x) -> (U, gradU) drives the trajectories, which need only its
+    gradient; u_acc(x) -> U scores the Metropolis test. They coincide for
+    plain HMC."""
     x = np.asarray(init, dtype=float).copy()
     dim = x.size
     if burn_in is None:
         burn_in = max(1, draws // 10)
     rng = np.random.default_rng(seed)
-    _, g = u_dyn(x)
+    grad_only = getattr(u_dyn, "grad", None) or (lambda z: u_dyn(z)[1])
+    g = grad_only(x)
     u_cur = u_acc(x)
     if not np.isfinite(u_cur) or not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite energy or gradient at the initial point")
@@ -79,7 +87,6 @@ def _run_chain(u_dyn, u_acc, init, step, n_leapfrog, draws, burn_in, seed, targe
     samples = np.empty((draws, dim))
     energies = np.empty(draws)
     accepted = 0
-    grad_only = lambda z: u_dyn(z)[1]
     for i in range(total):
         rho = rng.standard_normal(dim)
         h_cur = u_cur + 0.5 * float(rho @ rho)
@@ -118,7 +125,7 @@ def hmc_chain(
     """Standard HMC. neg_log_posterior(x) -> (value, gradient)."""
     return _run_chain(
         neg_log_posterior,
-        lambda z: neg_log_posterior(z)[0],
+        _value_of(neg_log_posterior),
         init,
         step,
         n_leapfrog,
@@ -146,10 +153,11 @@ def surrogate_hmc_chain(
     exact posterior.
     """
     acc = exact_posterior
-    if not np.isscalar(acc(np.asarray(init, dtype=float))):
+    if hasattr(acc, "value"):
+        acc = acc.value
+    elif not np.isscalar(acc(np.asarray(init, dtype=float))):
         # allow (value, grad) callables on the acceptance side too
-        raw = exact_posterior
-        acc = lambda z: raw(z)[0]
+        acc = _value_of(exact_posterior)
     return _run_chain(
         el_posterior, acc, init, step, n_leapfrog, draws, burn_in, seed, "surrogate"
     )
@@ -195,12 +203,16 @@ def chain_summary(chain: Chain, coordinates=None) -> dict:
 
 def make_potential(objective):
     """Negative log posterior (value, gradient) from a log-posterior objective;
-    the prior is the objective's ridge ``R``."""
+    the prior is the objective's ridge ``R``. The callable also carries
+    ``.value`` and ``.grad``, the objective's partial passes negated, which
+    the chains use where they need only one of the two."""
 
     def f(x):
         val, grad = objective.value_grad(x)
         return -val, -grad
 
+    f.value = lambda x: -objective.value(x)
+    f.grad = lambda x: -objective.grad(x)
     return f
 
 

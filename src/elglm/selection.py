@@ -228,8 +228,10 @@ def rhat_fixed_point(
                 "theta_MAP = 0: the fixed point diverges; this is the R_hat = infinity regime"
             )
         obj = ExactObjective(data, fit_offset=fit_offset, R=R)
-        Hinv = np.linalg.inv(-obj.hess_dense(obj.vector(fit.params)))
-        tr = float(np.trace(Hinv[1:, 1:] if fit_offset else Hinv))
+        # -H = L L', so diag(H^{-1}) holds the squared column norms of L^{-1}
+        L = scipy.linalg.cholesky(-obj.hess_dense(obj.vector(fit.params)), lower=True)
+        Linv = scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)
+        tr = float(np.sum(Linv[:, 1:] ** 2 if fit_offset else Linv**2))
         beta_new = (p - beta * tr) / nrm2
         if beta_new <= 0 or not np.isfinite(beta_new):
             raise FloatingPointError(

@@ -1,6 +1,7 @@
 """Experiment runner: exit codes, artifact layout, manifests, reruns."""
 
 import csv
+import hashlib
 import json
 import pathlib
 import re
@@ -230,6 +231,61 @@ def test_fit_layout_and_manifest(tmp_path, capsys):
     assert fit["converged"] is True
     lines = (outdir / "trace.csv").read_text().splitlines()
     assert lines[0] == "step,objective"
+
+
+def test_manifest_embeds_the_hashed_config_blob(tmp_path):
+    """The manifest carries the canonical compact config that was hashed, so
+    the hash is reproducible from the manifest's own text."""
+    cfg = fit_cfg()
+    outdir = run_experiment("fit", cfg, out_root=str(tmp_path / "out"))
+    text = (outdir / "manifest.json").read_text()
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    assert f'"config": {blob}' in text
+    manifest = json.loads(text)
+    assert manifest["config"] == cfg
+    assert manifest["config_sha256"] == hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _exact_fit(tmp_path, capsys, estimator, data=None):
+    cfg = fit_cfg()
+    cfg["data"]["simulate"]["family"] = {"family": "poisson"}
+    cfg["data"]["simulate"]["rate"] = 0.5
+    cfg["estimator"] = estimator
+    if data is not None:
+        cfg["data"] = data
+    code, out, err = run_cli(
+        capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")]
+    )
+    fit = json.loads((pathlib.Path(out.strip()) / "fit.json").read_text()) if code == 0 else None
+    return code, fit, err
+
+
+def test_exact_estimator_runs_newton_cg_when_c_is_known(tmp_path, capsys):
+    ridge = {"kind": "scaled_identity", "dim": 5, "scale": 1.0}
+    _, ncg, _ = _exact_fit(tmp_path, capsys, {"kind": "exact", "R": ridge, "fit_offset": True})
+    _, newton, _ = _exact_fit(
+        tmp_path, capsys, {"kind": "exact", "R": ridge, "fit_offset": True, "method": "newton"}
+    )
+    assert ncg["solver"] == "fit_exact_newton_cg" and ncg["converged"]
+    assert newton["solver"] == "fit_exact_newton" and newton["converged"]
+    np.testing.assert_allclose(ncg["theta"], newton["theta"], atol=1e-7)
+    assert ncg["theta0"] == pytest.approx(newton["theta0"], abs=1e-7)
+
+
+def test_exact_estimator_method_errors_are_exit_2(tmp_path, capsys):
+    code, _, err = _exact_fit(tmp_path, capsys, {"kind": "exact", "method": "cg"})
+    assert code == 2 and "method" in err
+    # stored data carries no covariance: Newton by default, newton_cg refused
+    stem = tmp_path / "stored"
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((80, 3))
+    save_dataset(GlmDataset(X, rng.standard_normal(80), Gaussian()), str(stem))
+    code, fit, _ = _exact_fit(tmp_path, capsys, {"kind": "exact"}, data={"stem": str(stem)})
+    assert code == 0 and fit["solver"] == "fit_exact_newton"
+    code, _, err = _exact_fit(
+        tmp_path, capsys, {"kind": "exact", "method": "newton_cg"}, data={"stem": str(stem)}
+    )
+    assert code == 2 and "newton_cg" in err and "'C'" in err
 
 
 def test_rerun_is_bitwise_identical(tmp_path, capsys):

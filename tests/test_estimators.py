@@ -8,6 +8,7 @@ import scipy.optimize
 from test_cd import brute_force_l1
 
 import elglm.estimators as estimators
+import elglm.glm as glm
 from elglm._cd import cd_quadratic_l1
 from elglm.el import AnalyticExponential, el_loglik
 from elglm.estimators import (
@@ -24,7 +25,7 @@ from elglm.estimators import (
     mpele_lnp,
     pcg_refine,
 )
-from elglm.families import Gaussian, Poisson
+from elglm.families import Bernoulli, Gaussian, Poisson
 from elglm.glm import GlmDataset, GlmParams, exact_loglik
 from elglm.structured import Dense, Diagonal, ScaledIdentity
 
@@ -352,14 +353,80 @@ def test_fit_exact_poisson_vs_scipy():
     assert fr.diagnostics["grad_norm"] < 1e-6 * max(1.0, abs(fr.objective_trace[-1]))
 
 
-def test_fit_exact_cg_matches_newton():
-    rng = np.random.default_rng(14)
-    data = _pois_data(rng, N=200, p=3)
-    newton = fit_exact(data, penalty=Ridge(ScaledIdentity(3, 1.0)))
-    cg = fit_exact(data, penalty=Ridge(ScaledIdentity(3, 1.0)), method="cg",
-                   tol=1e-6, max_iter=500)
-    assert cg.converged
-    assert np.allclose(cg.params.theta, newton.params.theta, atol=1e-5)
+def _ar1(p, phi=0.7):
+    return phi ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+
+
+@pytest.mark.parametrize("design", ["white", "ar1"])
+@pytest.mark.parametrize("family", ["poisson", "gaussian"])
+def test_fit_exact_newton_cg_matches_newton(family, design):
+    """Truncated Newton from the MPELE (MELE) reaches Newton's MAP."""
+    rng = np.random.default_rng(25)
+    N, p = 600, 8
+    Cm = np.eye(p) if design == "white" else _ar1(p)
+    C = ScaledIdentity(p, 1.0) if design == "white" else Dense(Cm)
+    X = rng.standard_normal((N, p)) @ np.linalg.cholesky(Cm).T
+    th = 0.5 * rng.standard_normal(p) / np.sqrt(p)
+    if family == "poisson":
+        r = rng.poisson(np.exp(X @ th - 0.5)).astype(float)
+        data = GlmDataset(X=X, r=r, family=Poisson())
+        kw = {"penalty": Ridge(ScaledIdentity(p, 2.0)), "fit_offset": True}
+    else:
+        r = X @ th + rng.standard_normal(N)
+        data = GlmDataset(X=X, r=r, family=Gaussian())
+        kw = {}
+    newton = fit_exact(data, tol=1e-10, **kw)
+    ncg = fit_exact(data, method="newton_cg", C=C, tol=1e-10, **kw)
+    assert newton.converged and ncg.converged
+    assert ncg.solver == "fit_exact_newton_cg"
+    x_n = np.concatenate(([newton.params.theta0], newton.params.theta))
+    x_c = np.concatenate(([ncg.params.theta0], ncg.params.theta))
+    np.testing.assert_allclose(x_c, x_n, rtol=0, atol=1e-8 * np.max(np.abs(x_n)))
+    assert ncg.diagnostics["hess_actions"] >= ncg.iterations
+
+
+def test_fit_exact_newton_cg_uses_the_el_preconditioner():
+    """With C the sample covariance, N C + R is the exact Gaussian Hessian:
+    the MELE is already the MAP, and from zero one PCG action solves it."""
+    rng = np.random.default_rng(27)
+    data = _gauss_data(rng, N=80, p=5)
+    C = Dense(data.X.T @ data.X / data.N)
+    R = Diagonal(np.linspace(0.5, 2.0, 5))
+    want = np.linalg.solve(data.X.T @ data.X + R.to_dense(), data.s)
+    start = fit_exact(data, penalty=Ridge(R), method="newton_cg", C=C)
+    assert start.iterations == 0 and start.diagnostics["hess_actions"] == 0
+    fr = fit_exact(data, penalty=Ridge(R), method="newton_cg", C=C,
+                   init=GlmParams(theta=np.zeros(5)))
+    assert fr.iterations == 1 and fr.diagnostics["hess_actions"] == 1
+    for f in (start, fr):
+        assert f.converged
+        np.testing.assert_allclose(f.params.theta, want, rtol=1e-10)
+
+
+def test_fit_exact_newton_cg_takes_one_full_pass_per_step(monkeypatch):
+    """No dense Hessian, and one value/gradient/d2 pass per outer iterate: the
+    Hessian actions reuse it and the line search takes value-only passes."""
+    rng = np.random.default_rng(26)
+    data = _pois_data(rng, N=500, p=6)
+    calls = {"exact_loglik": 0, "hess_dense": 0}
+    loglik = glm.exact_loglik
+    hess_dense = estimators.ExactObjective.hess_dense
+
+    def counted_loglik(*args, **kwargs):
+        calls["exact_loglik"] += 1
+        return loglik(*args, **kwargs)
+
+    def counted_hess(self, x):
+        calls["hess_dense"] += 1
+        return hess_dense(self, x)
+
+    monkeypatch.setattr(glm, "exact_loglik", counted_loglik)
+    monkeypatch.setattr(estimators.ExactObjective, "hess_dense", counted_hess)
+    fr = fit_exact(data, penalty=Ridge(ScaledIdentity(6, 1.0)), fit_offset=True,
+                   method="newton_cg", C=ScaledIdentity(6, 1.0))
+    assert fr.converged and fr.iterations >= 2
+    assert calls["hess_dense"] == 0
+    assert calls["exact_loglik"] == len(fr.objective_trace) == fr.iterations + 1
 
 
 def test_fit_exact_guards():
@@ -373,6 +440,13 @@ def test_fit_exact_guards():
         fit_exact(small, penalty="ridge")
     with pytest.raises(ValueError, match="method"):
         fit_exact(small, method="lbfgs")
+    with pytest.raises(ValueError, match="method"):
+        fit_exact(small, method="cg")
+    with pytest.raises(ValueError, match="covariance C"):
+        fit_exact(small, method="newton_cg")
+    binary = GlmDataset(X=small.X, r=(small.r > 0).astype(float), family=Bernoulli())
+    with pytest.raises(ValueError, match="Poisson or Gaussian"):
+        fit_exact(binary, method="newton_cg", C=ScaledIdentity(small.p, 1.0))
 
 
 def test_fit_exact_dispatches_l1_penalty():

@@ -111,6 +111,29 @@ def test_hess_dense_matches_hess_action():
             np.testing.assert_allclose(g, g_flat, rtol=1e-14)
 
 
+@pytest.mark.parametrize("family", [Gaussian(sigma2=1.7), Poisson(dt=0.3), Bernoulli()])
+def test_partial_passes_equal_value_grad_bit_for_bit(family):
+    """value() and grad() are value_grad() split in two, to the last bit, with
+    and without a fitted offset, a ridge and an offset vector."""
+    data, params = _dataset(family, seed=6)
+    ridge = Diagonal(np.linspace(0.5, 2.5, data.p))
+    offset = np.random.default_rng(9).standard_normal(data.N) * 0.2
+    for fit_offset, R, off in itertools.product((False, True), (None, ridge), (None, offset)):
+        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0, offset=off, R=R)
+        x = obj.vector(params)
+        v, g = obj.value_grad(x)
+        assert obj.value(x) == v
+        np.testing.assert_array_equal(obj.grad(x), g)
+    # an overflowing G(u) still raises from the value-only pass, naming the datum
+    if isinstance(family, Poisson):
+        obj = ExactObjective(data, fit_offset=True)
+        x = np.concatenate(([800.0], params.theta))
+        with pytest.raises(FloatingPointError, match="G\\(u\\) at data index 0"):
+            obj.value(x)
+        with pytest.raises(FloatingPointError, match="data index 0"):
+            obj.grad(x)
+
+
 def test_objective_vector_round_trip():
     data, params = _dataset(Poisson(), seed=5)
     rng = np.random.default_rng(8)

@@ -9,11 +9,14 @@ checks the names the benchmark runner reads from the library.
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import elglm._cd as cd
 import elglm.cli as cli
 import elglm.estimators as estimators
 import elglm.glm as glm
 import elglm.sampling as sampling
+from elglm.families import Poisson
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +49,23 @@ def test_tracer_installs_and_restores_originals():
     assert sampling.make_potential is potential
     assert cd.cd_quadratic_l1 is kernel
     assert estimators.cd_quadratic_l1 is kernel
+
+
+def test_traced_potential_keeps_its_partial_passes():
+    """functools.wraps copies the potential's __dict__, so the traced wrapper
+    still carries .grad and .value, and a chain runs through it."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    data = glm.GlmDataset(X, rng.poisson(0.5, size=50).astype(float), Poisson())
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        u = sampling.make_potential(glm.ExactObjective(data, fit_offset=True))
+        assert hasattr(u, "__wrapped__")  # the tracer's wrapper, not the closure
+        assert callable(u.grad) and callable(u.value)
+        x = np.array([-0.7, 0.0, 0.0, 0.0])
+        assert u.value(x) == u(x)[0]
+        chain = sampling.hmc_chain(u, x, step=0.05, n_leapfrog=3, draws=3, seed=1)
+    finally:
+        tracer.uninstall()
+    assert chain.samples.shape == (3, 4) and np.all(np.isfinite(chain.samples))
