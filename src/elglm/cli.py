@@ -380,6 +380,12 @@ def _fit_json(fit) -> dict:
 
 # ---------------------------------------------------------------- runners
 
+def _el_start(data, C) -> bool:
+    """Whether an exact MAP can run truncated Newton from the MPELE/MELE: the
+    EL Hessian needs C, and the start needs Gaussian or Poisson data."""
+    return C is not None and isinstance(data.family, (Gaussian, Poisson))
+
+
 def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     data, C_true, _ = _resolve_dataset(cfg["data"], seed)
     C = structured_from_config(cfg["C"]) if "C" in cfg else C_true
@@ -406,8 +412,7 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     elif kind == "mpele":
         fit = mpele_lnp(data, C, R=R)
     elif kind == "exact":
-        # truncated Newton from the MPELE/MELE wherever the EL Hessian is known
-        el_start = C is not None and isinstance(data.family, (Gaussian, Poisson))
+        el_start = _el_start(data, C)
         method = est.get("method", "newton_cg" if el_start else "newton")
         if method == "newton_cg" and not el_start:
             raise ConfigError(
@@ -473,7 +478,7 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
             beta_el = rhat_analytic(q, data.N_s, p)
             row = {"beta_el": beta_el, "N_s": data.N_s}
             if np.isfinite(beta_el):
-                fp = rhat_fixed_point(data, beta_el, max_iter=max_iter)
+                fp = rhat_fixed_point(data, beta_el, max_iter=max_iter, C=ScaledIdentity(p, 1.0))
                 row["beta_onestep"] = fp.betas[1]
                 row["beta_exact"] = fp.betas[-1]
                 row["fp_converged"] = fp.converged
@@ -508,7 +513,10 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
         elif method == "gaussian_el":
             ev = gaussian_evidence(data, R=R, mode="el", C=C)
         elif method == "laplace_exact":
-            fit = fit_exact(data, penalty=Ridge(R), fit_offset=True)
+            fit = fit_exact(
+                data, penalty=Ridge(R), fit_offset=True,
+                method="newton_cg" if _el_start(data, C) else "newton", C=C,
+            )
             ev = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True)
         else:
             fit = mpele_lnp(data, C, R=R)
@@ -530,7 +538,7 @@ def _build_potentials(data, C, R, fit_offset):
         raise ConfigError("sampling setup supports Gaussian and Poisson datasets")
     el_obj = ELObjective(engine, data, fit_offset=fit_offset, R=R)
     x0 = exact_obj.vector(init_fit.params)
-    return make_potential(exact_obj), make_potential(el_obj), x0
+    return exact_obj, make_potential(exact_obj), make_potential(el_obj), x0
 
 
 def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
@@ -552,9 +560,14 @@ def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
     else:
         if C is None:
             raise ConfigError("sampling needs a covariance C for the EL side and the init")
-        u_exact, u_el, x0 = _build_potentials(data, C, R, fit_offset)
+        exact_obj, u_exact, u_el, x0 = _build_potentials(data, C, R, fit_offset)
         if target == "exact":
-            chain = hmc_chain(u_exact, x0, step, n_leapfrog, draws, burn_in, seed, "exact")
+            # single-precision leapfrog force; the float64 Metropolis test
+            # keeps the chain on the exact posterior
+            chain = hmc_chain(
+                u_exact, x0, step, n_leapfrog, draws, burn_in, seed, "exact",
+                force=lambda x: -exact_obj.grad32(x),
+            )
         elif target == "el":
             chain = hmc_chain(u_el, x0, step, n_leapfrog, draws, burn_in, seed, "el")
         else:

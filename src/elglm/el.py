@@ -467,6 +467,8 @@ class ELObjective(ExactObjective):
     def _loglik_grad(self, x):
         return self._loglik(x).grad
 
+    _loglik_grad32 = _loglik_grad
+
     def hess_dense(self, x):
         act = self.hess_action(x)
         eye = np.eye(self.dim)

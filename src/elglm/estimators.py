@@ -358,7 +358,9 @@ def fit_exact(
 
     Smooth penalties (None, Ridge) run one of two ascent methods with Armijo
     backtracking, stopping when the gradient infinity-norm drops below
-    tol * max(1, |value|):
+    tol * max(1, |value|) (``converged``), or unconverged when the step
+    budget runs out, the line search finds no ascent, or an accepted step
+    leaves the value unchanged and the gradient test still fails:
 
     - ``"newton"`` solves with the dense O(N p^2) Hessian on every step,
       starting from ``init`` or zero;
@@ -404,7 +406,7 @@ def fit_exact(
         x = np.zeros(obj.dim) if init is None else obj.vector(init)
     t0 = time.perf_counter()
     trace = []
-    converged = False
+    converged = stalled = False
     it = actions = 0
     while True:
         if method == "newton":
@@ -415,7 +417,7 @@ def fit_exact(
         if np.max(np.abs(g)) <= tol * max(1.0, abs(v)):
             converged = True
             break
-        if it >= max_iter:
+        if it >= max_iter or stalled:
             break
         if method == "newton":
             try:
@@ -429,11 +431,15 @@ def fit_exact(
         slope = float(g @ d)
         if slope <= 0:  # solve hit a flat/indefinite direction; fall back to gradient
             d, slope = g, float(g @ g)
-        alpha, _ = _armijo(obj.value, x, d, v, slope)
+        alpha, v_new = _armijo(obj.value, x, d, v, slope)
         if alpha == 0.0:
             break
         x = x + alpha * d
         it += 1
+        # a step that leaves the value unchanged means the value is at its
+        # rounding floor; the step may still have shrunk the gradient, so
+        # test it once more, then stop
+        stalled = v_new == v
     diagnostics = {"grad_norm": float(np.max(np.abs(g)))}  # every exit leaves g at x
     if method == "newton_cg":
         diagnostics["hess_actions"] = actions

@@ -25,6 +25,16 @@ __all__ = [
     "FAMILIES",
 ]
 
+_FLOAT32 = np.dtype(np.float32)
+
+
+def _real(u):
+    """u as a float array: float32 input stays single precision, so G and its
+    derivatives can run in the precision of their caller's pass; anything
+    else becomes float64."""
+    return u if getattr(u, "dtype", None) is _FLOAT32 else np.asarray(u, dtype=float)
+
+
 class CanonicalFamily:
     name: str
     scale: float = 1.0
@@ -67,14 +77,14 @@ class Gaussian(CanonicalFamily):
         self.scale = 1.0 / self.sigma2
 
     def g(self, u):
-        u = np.asarray(u, dtype=float)
+        u = _real(u)
         return 0.5 * u * u
 
     def dg(self, u):
-        return np.asarray(u, dtype=float)
+        return _real(u)
 
     def d2g(self, u):
-        return np.ones_like(np.asarray(u, dtype=float))
+        return np.ones_like(_real(u))
 
     def simulate(self, u, rng):
         u = np.asarray(u, dtype=float)
@@ -107,7 +117,7 @@ class Poisson(CanonicalFamily):
         self.weight = self.dt
 
     def g(self, u):
-        return np.exp(np.asarray(u, dtype=float))
+        return np.exp(_real(u))
 
     dg = g
     d2g = g
@@ -138,13 +148,13 @@ class Bernoulli(CanonicalFamily):
     name = "bernoulli"
 
     def g(self, u):
-        return np.logaddexp(0.0, np.asarray(u, dtype=float))
+        return np.logaddexp(0.0, _real(u))
 
     def dg(self, u):
-        return expit(np.asarray(u, dtype=float))
+        return expit(_real(u))
 
     def d2g(self, u):
-        s = expit(np.asarray(u, dtype=float))
+        s = expit(_real(u))
         return s * (1.0 - s)
 
     def simulate(self, u, rng):

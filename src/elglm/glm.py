@@ -96,15 +96,19 @@ class LikelihoodEval:
     hess_action: "callable"  # v (p+1,) -> H v (p+1,)
 
 
+def _checked_offset(data: GlmDataset, offset) -> np.ndarray:
+    offset = np.asarray(offset, dtype=float)
+    if offset.shape != (data.N,):
+        raise ValueError(f"offset has shape {offset.shape}, expected ({data.N},)")
+    return offset
+
+
 def _linear_predictor(data: GlmDataset, params: GlmParams, offset):
     if params.p != data.p:
         raise ValueError(f"theta has length {params.p}, expected {data.p}")
     u = params.theta0 + data.X @ params.theta
     if offset is not None:
-        offset = np.asarray(offset, dtype=float)
-        if offset.shape != (data.N,):
-            raise ValueError(f"offset has shape {offset.shape}, expected ({data.N},)")
-        u = u + offset
+        u = u + _checked_offset(data, offset)
     return u
 
 
@@ -186,9 +190,9 @@ class ExactObjective:
     objective; ``fit_offset=True`` exposes the joint (theta0, theta) problem
     over a (p+1)-vector ordered (theta0, theta). ``R`` adds the ridge
     -theta'R theta/2 on the filter; the offset always carries a flat prior.
-    Subclasses swap the likelihood by overriding its three passes:
-    ``_loglik`` (value, gradient and Hessian action), ``_loglik_value`` and
-    ``_loglik_grad``.
+    Subclasses swap the likelihood by overriding its four passes:
+    ``_loglik`` (value, gradient and Hessian action), ``_loglik_value``,
+    ``_loglik_grad`` and ``_loglik_grad32``.
     """
 
     def __init__(self, data: GlmDataset, fit_offset=False, theta0=0.0, offset=None, R=None):
@@ -199,6 +203,7 @@ class ExactObjective:
         self.R = R
         self.dim = data.p + 1 if fit_offset else data.p
         self._theta = slice(int(self.fit_offset), None)  # the filter's coordinates in x
+        self._single = None  # float32 (X, r, offset), made by the first grad32 pass
 
     def params(self, x) -> GlmParams:
         x = np.asarray(x, dtype=float)
@@ -222,6 +227,34 @@ class ExactObjective:
     def _loglik_grad(self, x) -> np.ndarray:
         return _exact_grad(self.data, self.params(x), offset=self.offset)
 
+    def _loglik_grad32(self, x) -> np.ndarray:
+        """``_loglik_grad`` computed on float32 copies of X, r and the offset
+        (half the bytes per pass; relative error near 1e-6), returned as
+        float64. Where the float32 pass is not finite (Poisson's exp
+        overflows past u = 88.7) it returns the float64 pass, so the result
+        is a deterministic function of x."""
+        data, fam = self.data, self.data.family
+        if self._single is None:
+            off = self.offset
+            self._single = (
+                data.X.astype(np.float32),
+                data.r.astype(np.float32),
+                None if off is None else _checked_offset(data, off).astype(np.float32),
+            )
+        X, r, off = self._single
+        params = self.params(x)
+        grad = np.empty(data.p + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = params.theta0 + X @ params.theta.astype(np.float32)
+            if off is not None:
+                u += off
+            resid = r - fam.weight * fam.dg(u)
+            grad[0] = np.sum(resid, dtype=float)
+            grad[1:] = X.T @ resid
+        if not np.all(np.isfinite(grad)):
+            return self._loglik_grad(x)
+        return fam.scale * grad
+
     def _prior_value(self, x, v):
         if self.R is None:
             return v
@@ -242,6 +275,11 @@ class ExactObjective:
     def grad(self, x):
         """Gradient-only pass; equals ``value_grad(x)[1]`` bit for bit."""
         return self._prior_grad(x, self._loglik_grad(x))
+
+    def grad32(self, x):
+        """``grad`` from the single-precision likelihood pass (see
+        ``_loglik_grad32``), with the prior's term added in float64."""
+        return self._prior_grad(x, self._loglik_grad32(x))
 
     def value_grad(self, x):
         return self.value_grad_hess(x)[:2]

@@ -1,10 +1,20 @@
 """Hamiltonian Monte Carlo over exact and EL posteriors.
 
-Unit mass matrix throughout. The surrogate variant integrates trajectories
-under one potential and accepts with another; with a leapfrog flow that is
-volume preserving and reversible, scoring the endpoint with the exact
-Hamiltonian leaves the exact posterior invariant, at the price of a lower
-acceptance rate wherever the two potentials disagree.
+Unit mass matrix throughout. A chain scores its Metropolis test, and stores
+its energies, with its potential U in float64, and moves along leapfrog
+trajectories driven by a force x -> gradU(x). By default the force is U's own
+gradient; a chain may take it from another callable instead:
+
+- the surrogate chain uses the EL gradient, so its trajectories cost O(p)
+  per step;
+- the CLI's exact chain uses the exact gradient computed in single precision
+  (``ExactObjective.grad32``), which reads half the bytes per step.
+
+Any force that is a deterministic function of x keeps the leapfrog flow
+reversible and volume preserving, so the Metropolis test against the
+float64 Hamiltonian leaves the exact posterior invariant (Neal 2011,
+*MCMC using Hamiltonian dynamics*); a force that disagrees with gradU costs
+acceptance, not exactness.
 """
 
 from __future__ import annotations
@@ -69,18 +79,22 @@ def _value_of(potential):
     return getattr(potential, "value", None) or (lambda z: potential(z)[0])
 
 
-def _run_chain(u_dyn, u_acc, init, step, n_leapfrog, draws, burn_in, seed, target):
-    """u_dyn(x) -> (U, gradU) drives the trajectories, which need only its
-    gradient; u_acc(x) -> U scores the Metropolis test. They coincide for
-    plain HMC."""
+def _grad_of(potential):
+    """x -> gradU(x): the potential's ``.grad`` pass if it has one, else the
+    second entry of its (U, gradU) pair."""
+    return getattr(potential, "grad", None) or (lambda z: potential(z)[1])
+
+
+def _run_chain(energy, force, init, step, n_leapfrog, draws, burn_in, seed, target):
+    """energy(x) -> U scores the Metropolis test and the stored energies;
+    force(x) -> gradU drives the leapfrog trajectories."""
     x = np.asarray(init, dtype=float).copy()
     dim = x.size
     if burn_in is None:
         burn_in = max(1, draws // 10)
     rng = np.random.default_rng(seed)
-    grad_only = getattr(u_dyn, "grad", None) or (lambda z: u_dyn(z)[1])
-    g = grad_only(x)
-    u_cur = u_acc(x)
+    g = force(x)
+    u_cur = energy(x)
     if not np.isfinite(u_cur) or not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite energy or gradient at the initial point")
     total = draws + burn_in
@@ -90,8 +104,8 @@ def _run_chain(u_dyn, u_acc, init, step, n_leapfrog, draws, burn_in, seed, targe
     for i in range(total):
         rho = rng.standard_normal(dim)
         h_cur = u_cur + 0.5 * float(rho @ rho)
-        x_new, rho_new, g_new = _leapfrog(grad_only, x, rho, step, n_leapfrog, g)
-        u_new = u_acc(x_new)
+        x_new, rho_new, g_new = _leapfrog(force, x, rho, step, n_leapfrog, g)
+        u_new = energy(x_new)
         h_new = u_new + 0.5 * float(rho_new @ rho_new)
         log_alpha = h_cur - h_new
         if np.isfinite(log_alpha) and np.log(rng.uniform()) < log_alpha:
@@ -121,11 +135,17 @@ def hmc_chain(
     burn_in: int = None,
     seed: int = 0,
     target: str = "exact",
+    force=None,
 ) -> Chain:
-    """Standard HMC. neg_log_posterior(x) -> (value, gradient)."""
+    """Standard HMC. neg_log_posterior(x) -> (value, gradient).
+
+    ``force(x)``, if given, replaces the potential's gradient in the leapfrog
+    steps (for example ``lambda x: -objective.grad32(x)``); the Metropolis
+    test keeps the potential's value, so the chain still targets it.
+    """
     return _run_chain(
-        neg_log_posterior,
         _value_of(neg_log_posterior),
+        _grad_of(neg_log_posterior) if force is None else force,
         init,
         step,
         n_leapfrog,
@@ -146,11 +166,11 @@ def surrogate_hmc_chain(
     burn_in: int = None,
     seed: int = 0,
 ) -> Chain:
-    """HMC with EL dynamics and an exact-posterior Metropolis test.
+    """HMC on the exact posterior with the EL gradient as its force.
 
     el_posterior(x) -> (value, gradient) shapes the trajectories;
-    exact_posterior(x) -> value enters the accept ratio. Samples target the
-    exact posterior.
+    exact_posterior(x) -> value (or a (value, gradient) pair) enters the
+    accept ratio. Samples target the exact posterior.
     """
     acc = exact_posterior
     if hasattr(acc, "value"):
@@ -159,7 +179,7 @@ def surrogate_hmc_chain(
         # allow (value, grad) callables on the acceptance side too
         acc = _value_of(exact_posterior)
     return _run_chain(
-        el_posterior, acc, init, step, n_leapfrog, draws, burn_in, seed, "surrogate"
+        acc, _grad_of(el_posterior), init, step, n_leapfrog, draws, burn_in, seed, "surrogate"
     )
 
 

@@ -197,6 +197,7 @@ def rhat_fixed_point(
     rtol: float = 1e-4,
     fit_offset: bool = True,
     init: GlmParams = None,
+    C: StructuredMatrix = None,
 ) -> FixedPointResult:
     """Fixed-point iteration for the scalar ridge under the exact Laplace
     evidence: beta_{i+1} = (p - beta_i tr(H^{-1})) / ||theta_MAP(beta_i)||^2.
@@ -204,7 +205,9 @@ def rhat_fixed_point(
     H is the negative penalized posterior Hessian (positive definite); with a
     fitted offset the trace runs over the theta block of the full inverse,
     the offset itself carrying a flat prior. Each iterate refits the MAP,
-    warm-starting from the previous solution. Stops when the relative change
+    warm-starting from the previous solution; with the stimulus covariance
+    ``C`` the refits are Hessian-free (``fit_exact(method="newton_cg")``),
+    and only the trace takes a dense Hessian. Stops when the relative change
     drops below rtol or the budget runs out; a theta_MAP of zero raises,
     pointing at the infinite-ridge regime.
     """
@@ -218,7 +221,10 @@ def rhat_fixed_point(
     for _ in range(max_iter):
         beta = betas[-1]
         R = ScaledIdentity(p, beta)
-        fit = fit_exact(data, penalty=Ridge(R), init=warm, fit_offset=fit_offset)
+        fit = fit_exact(
+            data, penalty=Ridge(R), init=warm, fit_offset=fit_offset,
+            method="newton" if C is None else "newton_cg", C=C,
+        )
         fits.append(fit)
         warm = fit.params
         theta = fit.params.theta

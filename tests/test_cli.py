@@ -9,9 +9,12 @@ import re
 import numpy as np
 import pytest
 
+import elglm.cli as cli_mod
+import elglm.selection as selection_mod
 from elglm.cli import ConfigError, _apply_overrides, _validate, main, run_experiment
-from elglm.families import Gaussian
-from elglm.glm import GlmDataset, load_dataset, save_dataset
+from elglm.estimators import Ridge, fit_exact, mpele_lnp
+from elglm.families import Gaussian, Poisson
+from elglm.glm import ExactObjective, GlmDataset, load_dataset, save_dataset
 from elglm.population import (
     CoupledFilterSet,
     HistoryBasis,
@@ -21,7 +24,8 @@ from elglm.population import (
     load_population,
 )
 from elglm.risk import RiskSpec, mse_closed_form
-from elglm.selection import gaussian_evidence
+from elglm.sampling import hmc_chain, load_chain, make_potential
+from elglm.selection import gaussian_evidence, laplace_evidence
 from elglm.structured import KINDS, Banded, Circulant, Dense, Diagonal, Kronecker, ScaledIdentity
 
 
@@ -374,6 +378,70 @@ def test_select_sweep_matches_direct_evidence(tmp_path, capsys):
         assert float(line.split(",")[1]) == want
 
 
+def _count_exact_fits(monkeypatch):
+    """Record the method of every fit_exact call the select runner makes, and
+    count the dense Hessians built."""
+    log = {"methods": [], "hess_dense": 0}
+
+    def fit(*args, **kw):
+        log["methods"].append(kw.get("method", "newton"))
+        return fit_exact(*args, **kw)
+
+    dense = ExactObjective.hess_dense
+
+    def hess(self, x):
+        log["hess_dense"] += 1
+        return dense(self, x)
+
+    monkeypatch.setattr(cli_mod, "fit_exact", fit)
+    monkeypatch.setattr(selection_mod, "fit_exact", fit)
+    monkeypatch.setattr(ExactObjective, "hess_dense", hess)
+    return log
+
+
+def test_select_laplace_exact_sweep_is_hessian_free_with_c(tmp_path, capsys, monkeypatch):
+    """With C known, the laplace_exact sweep's MAPs are truncated Newton fits
+    and give the evidence of the Newton MAP; the Laplace log-determinant is
+    the only dense Hessian, one per beta."""
+    rng = np.random.default_rng(6)
+    N, p = 400, 4
+    X = rng.standard_normal((N, p))
+    data = GlmDataset(X, rng.poisson(np.exp(0.4 * X[:, 0] - 0.5)).astype(float), Poisson())
+    stem = str(tmp_path / "pdata")
+    save_dataset(data, stem)
+    cfg = {
+        "seed": 0,
+        "mode": "sweep",
+        "data": {"stem": stem},
+        "C": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+        "evidence": "laplace_exact",
+        "beta_grid": [0.5, 2.0, 8.0],
+    }
+    log = _count_exact_fits(monkeypatch)
+    code, out, _ = run_cli(capsys, ["select", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 0
+    assert log["methods"] == ["newton_cg"] * 3
+    assert log["hess_dense"] == 3
+    lines = (pathlib.Path(out.strip()) / "sweep.csv").read_text().splitlines()
+    for line, beta in zip(lines[1:], cfg["beta_grid"]):
+        R = ScaledIdentity(p, beta)
+        fit = fit_exact(data, penalty=Ridge(R), fit_offset=True)
+        want = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True).value
+        assert float(line.split(",")[1]) == pytest.approx(want, rel=1e-10)
+
+
+def test_select_ridge_recovery_refits_are_hessian_free(tmp_path, capsys, monkeypatch):
+    """ridge_recovery knows C = I: every fixed-point refit is truncated Newton,
+    and the only dense Hessians are the traces, one per refit."""
+    cfg = {"seed": 2, "mode": "ridge_recovery", "replicates": 2, "N": 250, "p": 8,
+           "norm": 2.0, "rate": 1.0, "max_iter": 15}
+    log = _count_exact_fits(monkeypatch)
+    code, _, _ = run_cli(capsys, ["select", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 0
+    assert log["methods"] and set(log["methods"]) == {"newton_cg"}
+    assert log["hess_dense"] == len(log["methods"])
+
+
 def test_select_sweep_requires_its_keys(tmp_path, capsys):
     cfg = {"mode": "sweep", "data": {"simulate": {
         "stimulus": {"kind": "gaussian_iid", "N": 30, "p": 2},
@@ -455,6 +523,47 @@ def test_sample_el_hmc(tmp_path, capsys):
     assert meta["target"] == "el"
     assert meta["draws"] == 40
     assert 0.0 < meta["acceptance_rate"] <= 1.0
+
+
+def test_sample_exact_hmc_energies_are_the_float64_potential(tmp_path, capsys):
+    """The exact chain leapfrogs on the single-precision force (it is the
+    library chain driven by ExactObjective.grad32, byte for byte), but its
+    manifest's energies are the float64 negative log posterior at the
+    retained draws."""
+    rng = np.random.default_rng(21)
+    N, p = 300, 4
+    X = rng.standard_normal((N, p))
+    r = rng.poisson(np.exp(0.3 * X[:, 0] - 0.7)).astype(float)
+    data = GlmDataset(X, r, Poisson())
+    stem = str(tmp_path / "lnp")
+    save_dataset(data, stem)
+    R = {"kind": "scaled_identity", "dim": p, "scale": 1.0}
+    cfg = {
+        "seed": 3,
+        "data": {"stem": stem},
+        "C": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+        "R": R,
+        "fit_offset": True,
+        "target": "exact",
+        "draws": 30,
+        "step": 0.02,
+        "n_leapfrog": 8,
+        "burn_in": 5,
+    }
+    code, out, _ = run_cli(capsys, ["sample", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 0
+    chain = load_chain(pathlib.Path(out.strip()) / "chain")
+    assert chain.target == "exact"
+    assert 0.5 < chain.acceptance_rate <= 1.0
+    obj = ExactObjective(load_dataset(stem), fit_offset=True, R=ScaledIdentity(p, 1.0))
+    want = np.array([-obj.value(x) for x in chain.samples])
+    np.testing.assert_array_equal(chain.energies, want)
+    init = mpele_lnp(obj.data, ScaledIdentity(p, 1.0)).params
+    x0 = np.concatenate(([init.theta0], init.theta))
+    u = make_potential(obj)
+    lib = hmc_chain(u, x0, 0.02, 8, 30, 5, 3, "exact", force=lambda x: -obj.grad32(x))
+    assert chain.samples.tobytes() == lib.samples.tobytes()
+    assert chain.samples.tobytes() != hmc_chain(u, x0, 0.02, 8, 30, 5, 3).samples.tobytes()
 
 
 def test_risk_csv_matches_closed_forms(tmp_path, capsys):

@@ -357,10 +357,8 @@ def _ar1(p, phi=0.7):
     return phi ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
 
 
-@pytest.mark.parametrize("design", ["white", "ar1"])
-@pytest.mark.parametrize("family", ["poisson", "gaussian"])
-def test_fit_exact_newton_cg_matches_newton(family, design):
-    """Truncated Newton from the MPELE (MELE) reaches Newton's MAP."""
+def _newton_cg_case(family, design):
+    """(data, C, fit_exact keywords) of a p=8, N=600 problem."""
     rng = np.random.default_rng(25)
     N, p = 600, 8
     Cm = np.eye(p) if design == "white" else _ar1(p)
@@ -370,11 +368,16 @@ def test_fit_exact_newton_cg_matches_newton(family, design):
     if family == "poisson":
         r = rng.poisson(np.exp(X @ th - 0.5)).astype(float)
         data = GlmDataset(X=X, r=r, family=Poisson())
-        kw = {"penalty": Ridge(ScaledIdentity(p, 2.0)), "fit_offset": True}
-    else:
-        r = X @ th + rng.standard_normal(N)
-        data = GlmDataset(X=X, r=r, family=Gaussian())
-        kw = {}
+        return data, C, {"penalty": Ridge(ScaledIdentity(p, 2.0)), "fit_offset": True}
+    r = X @ th + rng.standard_normal(N)
+    return GlmDataset(X=X, r=r, family=Gaussian()), C, {}
+
+
+@pytest.mark.parametrize("design", ["white", "ar1"])
+@pytest.mark.parametrize("family", ["poisson", "gaussian"])
+def test_fit_exact_newton_cg_matches_newton(family, design):
+    """Truncated Newton from the MPELE (MELE) reaches Newton's MAP."""
+    data, C, kw = _newton_cg_case(family, design)
     newton = fit_exact(data, tol=1e-10, **kw)
     ncg = fit_exact(data, method="newton_cg", C=C, tol=1e-10, **kw)
     assert newton.converged and ncg.converged
@@ -383,6 +386,23 @@ def test_fit_exact_newton_cg_matches_newton(family, design):
     x_c = np.concatenate(([ncg.params.theta0], ncg.params.theta))
     np.testing.assert_allclose(x_c, x_n, rtol=0, atol=1e-8 * np.max(np.abs(x_n)))
     assert ncg.diagnostics["hess_actions"] >= ncg.iterations
+
+
+@pytest.mark.parametrize("method", ["newton", "newton_cg"])
+def test_fit_exact_stops_when_a_step_leaves_the_value_unchanged(method):
+    """At tol=1e-12 the gradient test asks for more than the value's rounding
+    can resolve: Armijo then accepts steps that leave the value unchanged.
+    The fit stops after the first such step instead of running to max_iter,
+    and reports converged exactly when the gradient test passed."""
+    data, C, kw = _newton_cg_case("poisson", "ar1")
+    fit = fit_exact(data, method=method, C=C, tol=1e-12, **kw)
+    assert fit.iterations <= 20
+    v = fit.objective_trace[-1]
+    assert fit.converged == (fit.diagnostics["grad_norm"] <= 1e-12 * max(1.0, abs(v)))
+    if not fit.converged:  # stopped on the flat step, not on the budget
+        assert fit.objective_trace[-1] == fit.objective_trace[-2]
+    want = fit_exact(data, tol=1e-10, **kw).params
+    np.testing.assert_allclose(fit.params.theta, want.theta, rtol=0, atol=1e-8)
 
 
 def test_fit_exact_newton_cg_uses_the_el_preconditioner():

@@ -134,6 +134,40 @@ def test_partial_passes_equal_value_grad_bit_for_bit(family):
             obj.grad(x)
 
 
+@pytest.mark.parametrize("family", [Gaussian(sigma2=1.7), Poisson(dt=0.3), Bernoulli()])
+def test_grad32_agrees_with_grad(family):
+    """The single-precision gradient pass agrees with the float64 one to 1e-5
+    relative, with and without a fitted offset, a ridge and an offset vector,
+    and returns float64."""
+    assert family.dg(np.zeros(3, dtype=np.float32)).dtype == np.float32
+    data, params = _dataset(family, seed=6, N=400, p=6)
+    ridge = Diagonal(np.linspace(0.5, 2.5, data.p))
+    offset = np.random.default_rng(9).standard_normal(data.N) * 0.2
+    rng = np.random.default_rng(10)
+    for fit_offset, R, off in itertools.product((False, True), (None, ridge), (None, offset)):
+        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0, offset=off, R=R)
+        x = obj.vector(params) + 0.3 * rng.standard_normal(obj.dim)
+        g, g32 = obj.grad(x), obj.grad32(x)
+        assert g32.dtype == np.float64 and g32.shape == g.shape
+        assert np.linalg.norm(g32 - g) <= 1e-5 * np.linalg.norm(g)
+        assert obj.grad32(x).tobytes() == g32.tobytes()  # deterministic in x
+
+
+def test_grad32_falls_back_to_grad_where_float32_overflows():
+    """At u near 100, exp overflows in float32 but not in float64: the pass
+    returns the float64 gradient bit for bit, ridge included."""
+    X = np.zeros((4, 2))
+    X[:, 0] = [1.0, 0.5, 0.0, -1.0]
+    data = GlmDataset(X, np.array([3.0, 1.0, 0.0, 2.0]), Poisson())
+    obj = ExactObjective(data, fit_offset=True, R=Diagonal(np.array([1.0, 2.0])))
+    x = np.array([0.0, 100.0, 0.5])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(np.float32(100.0))) and np.isfinite(np.exp(100.0))
+    np.testing.assert_array_equal(obj.grad32(x), obj.grad(x))
+    # away from the overflow the single-precision pass is a different number
+    assert obj.grad32(x / 100).tobytes() != obj.grad(x / 100).tobytes()
+
+
 def test_objective_vector_round_trip():
     data, params = _dataset(Poisson(), seed=5)
     rng = np.random.default_rng(8)

@@ -5,8 +5,9 @@ import pytest
 import scipy.stats
 
 from elglm.el import AnalyticExponential, AnalyticQuadratic, ELObjective
+from elglm.estimators import mpele_lnp
 from elglm.families import Gaussian, Poisson
-from elglm.glm import ExactObjective, GlmDataset
+from elglm.glm import ExactObjective, GlmDataset, GlmParams, simulate_responses
 from elglm.sampling import (
     Chain,
     chain_summary,
@@ -232,6 +233,64 @@ def test_partial_pass_potentials_give_byte_identical_chains():
         assert ours.samples.tobytes() == want.samples.tobytes()
         assert ours.energies.tobytes() == want.energies.tobytes()
         assert ours.acceptance_rate == want.acceptance_rate > 0.0
+
+
+def test_force_drives_the_leapfrog_and_the_potential_scores_it():
+    """A chain given a force moves with it: with the potential's own gradient
+    as the force the chain is unchanged, and a mis-scaled force still leaves
+    the Metropolis test, and so the target, with the potential."""
+    prec = np.array([[1.2, 0.2], [0.2, 0.9]])
+    u = _quad_potential(prec, np.ones(2))
+    kw = dict(step=0.3, n_leapfrog=6, draws=80, seed=9)
+    a = hmc_chain(u, np.zeros(2), **kw)
+    b = hmc_chain(u, np.zeros(2), force=lambda x: u(x)[1], **kw)
+    assert a.samples.tobytes() == b.samples.tobytes()
+    u_off = _quad_potential(1.8 * prec, np.ones(2))
+    c = hmc_chain(u, np.zeros(2), force=lambda x: u_off(x)[1], **kw)
+    d = surrogate_hmc_chain(u_off, u, np.zeros(2), **kw)
+    assert c.samples.tobytes() == d.samples.tobytes()
+    assert c.target == "exact" and d.target == "surrogate"
+    assert np.allclose(c.energies, [u(x)[0] for x in c.samples], atol=1e-12)
+
+
+def _criterion_08_data():
+    """The N=4000, p=100 LNP problem of acceptance criterion 08."""
+    N, p = 4000, 100
+    rng = np.random.default_rng(1234)
+    theta = rng.standard_normal(p)
+    theta /= np.linalg.norm(theta)
+    X = rng.standard_normal((N, p))
+    params = GlmParams(theta0=float(np.log(0.5) - 0.5), theta=theta)
+    data = GlmDataset(X, simulate_responses(Poisson(), X, params, 77), Poisson())
+    init = mpele_lnp(data, ScaledIdentity(p, 1.0)).params
+    return data, np.concatenate(([init.theta0], init.theta))
+
+
+def test_single_precision_force_keeps_the_exact_chain():
+    """Exactness oracle on criterion 08's data: the chain whose leapfrog runs
+    on ExactObjective.grad32 accepts within 0.03 of the float64 chain, its
+    95% intervals overlap the float64 chain's on >= 90% of coordinates, its
+    energies are the float64 potential at the retained draws, and a rerun
+    is byte-identical."""
+    data, x0 = _criterion_08_data()
+    obj = ExactObjective(data, fit_offset=True)
+    u = make_potential(obj)
+    force = lambda x: -obj.grad32(x)
+    args = (x0, 0.010, 30, 600, 100, 5, "exact")
+    ch64 = hmc_chain(u, *args)
+    ch32 = hmc_chain(u, *args, force=force)
+    assert ch32.acceptance_rate > 0.5
+    assert abs(ch32.acceptance_rate - ch64.acceptance_rate) <= 0.03
+    q64 = np.percentile(ch64.samples, [2.5, 97.5], axis=0)
+    q32 = np.percentile(ch32.samples, [2.5, 97.5], axis=0)
+    overlap = np.maximum(q64[0], q32[0]) < np.minimum(q64[1], q32[1])
+    assert overlap.mean() >= 0.90, overlap.mean()
+    picks = np.arange(0, 600, 50)
+    want = np.array([-obj.value(ch32.samples[k]) for k in picks])
+    np.testing.assert_array_equal(ch32.energies[picks], want)
+    once, twice = (hmc_chain(u, x0, 0.010, 30, 60, 10, 5, "exact", force) for _ in range(2))
+    assert once.samples.tobytes() == twice.samples.tobytes()
+    assert once.energies.tobytes() == twice.energies.tobytes()
 
 
 def test_el_gaussian_flat_posterior_covariance():

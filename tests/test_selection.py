@@ -7,7 +7,7 @@ import scipy.optimize
 
 from elglm.estimators import Ridge, fit_exact, mpele_lnp
 from elglm.families import Gaussian, Poisson
-from elglm.glm import GlmDataset, GlmParams, exact_loglik
+from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
 from elglm.selection import (
     EvidenceResult,
     el_logF_scalar,
@@ -274,14 +274,37 @@ def test_fixed_point_equation_holds_at_convergence():
     refit = fit_exact(
         data, penalty=Ridge(ScaledIdentity(4, beta)), init=fit.params, fit_offset=True
     )
-    from elglm.glm import ExactObjective
-
     x = np.concatenate(([refit.params.theta0], refit.params.theta))
     H = ExactObjective(data, fit_offset=True).hess_dense(x)
     H[1:, 1:] -= beta * np.eye(4)
     tr = np.trace(np.linalg.inv(-H)[1:, 1:])
     nxt = (4 - beta * tr) / float(refit.params.theta @ refit.params.theta)
     assert nxt == pytest.approx(beta, rel=5e-4)
+
+
+def test_fixed_point_with_c_runs_hessian_free_refits(monkeypatch):
+    """Given C, every MAP refit is truncated Newton from the MPELE: the betas
+    equal the Newton path's within 1e-6 relative, and the only dense
+    Hessians left are the traces, one per iterate."""
+    rng = np.random.default_rng(13)
+    data = _pois_data(rng, N=800, p=6)
+    calls = []
+    dense = ExactObjective.hess_dense
+
+    def counted(self, x):
+        calls.append(1)
+        return dense(self, x)
+
+    monkeypatch.setattr(ExactObjective, "hess_dense", counted)
+    newton = rhat_fixed_point(data, beta0=1.0, rtol=1e-6)
+    n_newton = len(calls)
+    calls.clear()
+    ncg = rhat_fixed_point(data, beta0=1.0, rtol=1e-6, C=ScaledIdentity(6, 1.0))
+    assert newton.converged and ncg.converged
+    assert len(ncg.betas) == len(newton.betas)
+    np.testing.assert_allclose(ncg.betas, newton.betas, rtol=1e-6)
+    assert all(f.solver == "fit_exact_newton_cg" for f in ncg.fits)
+    assert len(calls) == len(ncg.fits) < n_newton
 
 
 def test_fixed_point_zero_theta_raises():
