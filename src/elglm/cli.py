@@ -183,6 +183,7 @@ SCHEMAS = {
             "estimator": {
                 "type": "object",
                 "required": ["kind"],
+                "additionalProperties": False,
                 "properties": {
                     "kind": {
                         "enum": ["mele", "mpele", "mpele_l1", "exact", "exact_l1", "pcg_refine"]
@@ -191,7 +192,6 @@ SCHEMAS = {
                     "lam": {"type": "number", "minimum": 0},
                     "lam_path": {"type": "array", "items": {"type": "number"}},
                     "k": {"type": "integer", "minimum": 0},
-                    "method": {"enum": ["newton", "newton_cg"]},
                     "fit_offset": {"type": "boolean"},
                 },
             },
@@ -380,12 +380,6 @@ def _fit_json(fit) -> dict:
 
 # ---------------------------------------------------------------- runners
 
-def _el_start(data, C) -> bool:
-    """Whether an exact MAP can run truncated Newton from the MPELE/MELE: the
-    EL Hessian needs C, and the start needs Gaussian or Poisson data."""
-    return C is not None and isinstance(data.family, (Gaussian, Poisson))
-
-
 def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     data, C_true, _ = _resolve_dataset(cfg["data"], seed)
     C = structured_from_config(cfg["C"]) if "C" in cfg else C_true
@@ -412,35 +406,21 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     elif kind == "mpele":
         fit = mpele_lnp(data, C, R=R)
     elif kind == "exact":
-        el_start = _el_start(data, C)
-        method = est.get("method", "newton_cg" if el_start else "newton")
-        if method == "newton_cg" and not el_start:
-            raise ConfigError(
-                "method 'newton_cg' needs 'C' in the config and Gaussian or Poisson data"
-            )
         pen = Ridge(R) if R is not None else None
-        fit = fit_exact(data, penalty=pen, method=method, fit_offset=fit_offset, C=C)
+        fit = fit_exact(data, penalty=pen, fit_offset=fit_offset, C=C)
     elif kind == "exact_l1":
         if "lam" not in est:
             raise ConfigError("estimator exact_l1 needs 'lam'")
         fit = fit_exact_l1(data, est["lam"], R=R, fit_offset=fit_offset)
-    else:  # pcg_refine
-        if isinstance(data.family, Gaussian):
-            init = mele_gaussian(data, C, R=R).params
-            pre_factor = float(data.N)
-        elif isinstance(data.family, Poisson):
-            init = mpele_lnp(data, C, R=R).params
-            pre_factor = max(float(data.N_s), 1.0)
-        else:
-            raise ConfigError("pcg_refine initialization needs a Gaussian or Poisson dataset")
-        pre = C.scaled(pre_factor)
+    else:  # pcg_refine, from the EL estimate
+        if not isinstance(data.family, (Gaussian, Poisson)):
+            raise ConfigError("pcg_refine needs a Gaussian or Poisson dataset")
         pen = Ridge(R) if R is not None else None
         fit = pcg_refine(
             data,
+            C=C,
             penalty=pen,
-            init=init,
             k=est.get("k", 10),
-            preconditioner=pre,
             fit_offset=fit_offset or isinstance(data.family, Poisson),
         )
     (outdir / "fit.json").write_text(json.dumps(_fit_json(fit), indent=2))
@@ -513,10 +493,7 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
         elif method == "gaussian_el":
             ev = gaussian_evidence(data, R=R, mode="el", C=C)
         elif method == "laplace_exact":
-            fit = fit_exact(
-                data, penalty=Ridge(R), fit_offset=True,
-                method="newton_cg" if _el_start(data, C) else "newton", C=C,
-            )
+            fit = fit_exact(data, penalty=Ridge(R), fit_offset=True, C=C)
             ev = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True)
         else:
             fit = mpele_lnp(data, C, R=R)
@@ -553,7 +530,7 @@ def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
     burn_in = cfg.get("burn_in")
     if target == "laplace-gaussian":
         pen = Ridge(R) if R is not None else None
-        fit = fit_exact(data, penalty=pen, fit_offset=fit_offset)
+        fit = fit_exact(data, penalty=pen, fit_offset=fit_offset, C=C)
         obj = ExactObjective(data, fit_offset=fit_offset, R=R)
         x = obj.vector(fit.params)
         chain = laplace_gaussian_chain(x, -obj.hess_dense(x), draws, seed=seed)

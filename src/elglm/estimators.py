@@ -295,25 +295,34 @@ def _armijo(obj_value, x, d, v0, slope, alpha0=1.0):
     return 0.0, v0
 
 
-def _el_count(data: GlmDataset) -> float:
-    """n in the EL Hessian blockdiag(n, n C + R): N_s for Poisson data, N otherwise."""
-    return max(float(data.N_s), 1.0) if isinstance(data.family, Poisson) else float(data.N)
+def _el_recipe(data: GlmDataset, C, R, fit_offset: bool, init):
+    """The EL side of an exact MAP: (start, g -> M^{-1} g), or None without C
+    or for a family with no closed-form EL estimate.
 
+    The start is ``init`` or the EL estimate (MPELE for Poisson data, MELE for
+    Gaussian data); M is the EL Hessian blockdiag(n, n C + R) with n = N_s
+    (Poisson) or N (Gaussian), its offset block present only when the offset
+    is fitted and its theta block applied through a structured solve.
+    """
+    if C is None:
+        return None
+    if isinstance(data.family, Poisson):
+        estimate, n = mpele_lnp, max(float(data.N_s), 1.0)
+    elif isinstance(data.family, Gaussian):
+        estimate, n = mele_gaussian, float(data.N)
+    else:
+        return None
+    block = _system(C, n, R)
 
-def _block_preconditioner(theta_block: StructuredMatrix, n_offset: float, fit_offset: bool):
-    """g -> M^{-1} g for M = blockdiag(n_offset, theta_block), the offset block
-    present only when the offset is fitted; theta_block is applied through its
-    structured solve."""
-
-    def apply(g):
+    def apply_pre(g):
         if not fit_offset:
-            return theta_block.solve_shifted(0.0, g)
+            return block.solve_shifted(0.0, g)
         out = np.empty_like(g)
-        out[0] = g[0] / n_offset
-        out[1:] = theta_block.solve_shifted(0.0, g[1:])
+        out[0] = g[0] / n
+        out[1:] = block.solve_shifted(0.0, g[1:])
         return out
 
-    return apply
+    return (estimate(data, C, R=R).params if init is None else init), apply_pre
 
 
 def _pcg(action, b, apply_pre, rtol, max_iter):
@@ -347,7 +356,6 @@ def fit_exact(
     data: GlmDataset,
     penalty=None,
     init: GlmParams = None,
-    method: str = "newton",
     fit_offset: bool = False,
     theta0: float = 0.0,
     tol: float = 1e-8,
@@ -356,20 +364,21 @@ def fit_exact(
 ) -> FitResult:
     """Maximize the exact penalized log-likelihood (MLE / MAP).
 
-    Smooth penalties (None, Ridge) run one of two ascent methods with Armijo
+    Smooth penalties (None, Ridge) run an ascent method with Armijo
     backtracking, stopping when the gradient infinity-norm drops below
     tol * max(1, |value|) (``converged``), or unconverged when the step
     budget runs out, the line search finds no ascent, or an accepted step
-    leaves the value unchanged and the gradient test still fails:
+    leaves the value unchanged and the gradient test still fails. The
+    method follows from the data and ``C``:
 
-    - ``"newton"`` solves with the dense O(N p^2) Hessian on every step,
-      starting from ``init`` or zero;
-    - ``"newton_cg"`` (truncated Newton; Poisson or Gaussian data and the
-      stimulus covariance ``C`` required) starts from ``init`` or the MPELE
-      (MELE for Gaussian data) and solves each step by CG on O(Np) Hessian
-      actions, preconditioned by the EL Hessian blockdiag(n, n C + R) with
-      n = N_s (Poisson) or N (Gaussian), to the forcing term
-      0.1 min(0.5, sqrt(||g||)) (Eisenstat & Walker 1996).
+    - with the stimulus covariance ``C`` and Poisson or Gaussian data,
+      truncated Newton (solver ``fit_exact_newton_cg``) starts from ``init``
+      or the MPELE (MELE for Gaussian data) and solves each step by CG on
+      O(Np) Hessian actions, preconditioned by the EL Hessian
+      blockdiag(n, n C + R) with n = N_s (Poisson) or N (Gaussian), to the
+      forcing term 0.1 min(0.5, sqrt(||g||)) (Eisenstat & Walker 1996);
+    - otherwise Newton (solver ``fit_exact_newton``) solves with the dense
+      O(N p^2) Hessian on every step, starting from ``init`` or zero.
 
     L1-type penalties dispatch to the coordinate descent solver
     (:func:`fit_exact_l1`). The Gaussian family with no penalty and p >= N
@@ -387,21 +396,11 @@ def fit_exact(
     dim = data.p + (1 if fit_offset else 0)
     if R is None and isinstance(data.family, Gaussian) and dim >= data.N:
         raise ValueError(f"non-unique MLE: p={dim} >= N={data.N} with no regularization")
-    if method not in ("newton", "newton_cg"):
-        raise ValueError("method must be 'newton' or 'newton_cg'")
     obj = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, R=R)
-    if method == "newton_cg":
-        if C is None:
-            raise ValueError("method 'newton_cg' needs the stimulus covariance C")
-        if isinstance(data.family, Poisson):
-            start = mpele_lnp
-        elif isinstance(data.family, Gaussian):
-            start = mele_gaussian
-        else:
-            raise ValueError("method 'newton_cg' needs Poisson or Gaussian data")
-        n = _el_count(data)
-        apply_pre = _block_preconditioner(_system(C, n, R), n, fit_offset)
-        x = obj.vector(start(data, C, R=R).params if init is None else init)
+    el = _el_recipe(data, C, R, fit_offset, init)
+    if el is not None:
+        start, apply_pre = el
+        x = obj.vector(start)
     else:
         x = np.zeros(obj.dim) if init is None else obj.vector(init)
     t0 = time.perf_counter()
@@ -409,7 +408,7 @@ def fit_exact(
     converged = stalled = False
     it = actions = 0
     while True:
-        if method == "newton":
+        if el is None:
             v, g = obj.value_grad(x)
         else:
             v, g, hess = obj.value_grad_hess(x)
@@ -419,7 +418,7 @@ def fit_exact(
             break
         if it >= max_iter or stalled:
             break
-        if method == "newton":
+        if el is None:
             try:
                 d = np.linalg.solve(-obj.hess_dense(x), g)
             except np.linalg.LinAlgError as e:
@@ -441,7 +440,7 @@ def fit_exact(
         # test it once more, then stop
         stalled = v_new == v
     diagnostics = {"grad_norm": float(np.max(np.abs(g)))}  # every exit leaves g at x
-    if method == "newton_cg":
+    if el is not None:
         diagnostics["hess_actions"] = actions
     return FitResult(
         params=obj.params(x),
@@ -449,7 +448,7 @@ def fit_exact(
         iterations=it,
         wall_time=time.perf_counter() - t0,
         converged=converged,
-        solver=f"fit_exact_{method}",
+        solver="fit_exact_newton" if el is None else "fit_exact_newton_cg",
         diagnostics=diagnostics,
     )
 
@@ -538,38 +537,34 @@ def fit_exact_l1(
 
 def pcg_refine(
     data: GlmDataset,
+    C: StructuredMatrix,
     penalty=None,
     init: GlmParams = None,
     k: int = 10,
-    preconditioner: StructuredMatrix = None,
     fit_offset: bool = False,
     theta0: float = 0.0,
     tol: float = 0.0,
 ) -> FitResult:
-    """k nonlinear PCG iterations on the exact penalized likelihood from init.
+    """k nonlinear PCG iterations on the exact penalized likelihood.
 
-    ``preconditioner`` approximates the negative EL Hessian in theta (C n,
-    or C n + R with a ridge, n = N_s for Poisson data and N otherwise); its
-    inverse is applied through a structured solve. When the offset is fitted
-    the preconditioner extends block-diagonally with n for the offset
-    coordinate, as in ``fit_exact(method="newton_cg")``. k=0 returns
-    init unchanged. Iterations stop early only if the gradient vanishes
-    (infinity-norm <= tol * max(1, |value|); tol=0 disables the check), so
-    callers get the full trace they asked for.
+    Poisson or Gaussian data only. Start and preconditioner are those of
+    :func:`fit_exact` given the stimulus covariance ``C``: ``init`` or the
+    MPELE (MELE for Gaussian data), and the EL Hessian blockdiag(n, n C + R).
+    k=0 returns the start unchanged. Iterations stop early only if the
+    gradient vanishes (infinity-norm <= tol * max(1, |value|); tol=0
+    disables the check), so callers get the full trace they asked for.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     R = penalty.R if isinstance(penalty, Ridge) else None
     if penalty is not None and not isinstance(penalty, Ridge):
         raise ValueError("pcg_refine supports only None or Ridge penalties")
+    el = _el_recipe(data, C, R, fit_offset, init)
+    if el is None:
+        raise ValueError("pcg_refine needs the stimulus covariance C and Poisson or Gaussian data")
+    start, apply_pre = el
     obj = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, R=R)
-    x = np.zeros(obj.dim) if init is None else obj.vector(init)
-
-    if preconditioner is None:
-        def apply_pre(g):
-            return g
-    else:
-        apply_pre = _block_preconditioner(preconditioner, _el_count(data), fit_offset)
+    x = obj.vector(start)
 
     t0 = time.perf_counter()
     v, g = obj.value_grad(x)

@@ -255,13 +255,10 @@ def stagewise_population_fit(
     stage1 = []
     for i in range(M):
         d1 = GlmDataset(data.X_s, data.spikes[i], Poisson(dt=data.dt))
-        fit = mpele_lnp(d1, C)
         if pcg_budget > 0:
-            pre = C.scaled(max(float(d1.N_s), 1.0))
-            fit = pcg_refine(
-                d1, init=fit.params, k=pcg_budget, preconditioner=pre, fit_offset=True
-            )
-        stage1.append(fit)
+            stage1.append(pcg_refine(d1, C=C, k=pcg_budget, fit_offset=True))
+        else:
+            stage1.append(mpele_lnp(d1, C))
 
     stage2 = []
     for i in range(M):

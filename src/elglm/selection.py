@@ -206,10 +206,10 @@ def rhat_fixed_point(
     fitted offset the trace runs over the theta block of the full inverse,
     the offset itself carrying a flat prior. Each iterate refits the MAP,
     warm-starting from the previous solution; with the stimulus covariance
-    ``C`` the refits are Hessian-free (``fit_exact(method="newton_cg")``),
-    and only the trace takes a dense Hessian. Stops when the relative change
-    drops below rtol or the budget runs out; a theta_MAP of zero raises,
-    pointing at the infinite-ridge regime.
+    ``C`` and Poisson or Gaussian data the refits are :func:`fit_exact`'s
+    Hessian-free truncated Newton, and only the trace takes a dense Hessian.
+    Stops when the relative change drops below rtol or the budget runs out;
+    a theta_MAP of zero raises, pointing at the infinite-ridge regime.
     """
     if beta0 <= 0 or not np.isfinite(beta0):
         raise ValueError("beta0 must be positive and finite")
@@ -221,10 +221,7 @@ def rhat_fixed_point(
     for _ in range(max_iter):
         beta = betas[-1]
         R = ScaledIdentity(p, beta)
-        fit = fit_exact(
-            data, penalty=Ridge(R), init=warm, fit_offset=fit_offset,
-            method="newton" if C is None else "newton_cg", C=C,
-        )
+        fit = fit_exact(data, penalty=Ridge(R), init=warm, fit_offset=fit_offset, C=C)
         fits.append(fit)
         warm = fit.params
         theta = fit.params.theta

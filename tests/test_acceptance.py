@@ -18,7 +18,6 @@ from elglm.cli import run_experiment
 from elglm.el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_loglik
 from elglm.estimators import (
     Ridge,
-    add_structured,
     fit_exact,
     fit_exact_l1,
     mele_gaussian,
@@ -277,9 +276,8 @@ def test_criterion_07_pcg_refinement_reaches_map_quality():
         map_fit = fit_exact(train, penalty=Ridge(R), fit_offset=True)
         assert map_fit.converged
         init = mpele_lnp(train, C, R=R)
-        pre = add_structured(C.scaled(float(train.N_s)), R)
-        refined = pcg_refine(train, penalty=Ridge(R), init=init.params, k=10,
-                             preconditioner=pre, fit_offset=True)
+        refined = pcg_refine(train, C=C, penalty=Ridge(R), init=init.params, k=10,
+                             fit_offset=True)
 
         L_map = exact_loglik(held, map_fit.params).value
         L_pcg = exact_loglik(held, refined.params).value
@@ -413,6 +411,43 @@ def test_criterion_09_population_staged_fit():
             for _ in range(3)
         )
     assert t12[40] / t12[20] <= 2.5, t12
+
+
+def test_criterion_09_stage12_passes_are_linear_in_M(monkeypatch):
+    """The count behind criterion 09's wall-clock gate: on the same generator,
+    the exact-likelihood passes of stages 1-2 (value, gradient, full and
+    dense-Hessian passes) grow by at most 2.5x when M doubles."""
+    import elglm.population as population
+
+    class Stage3(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stage3
+
+    calls = [0]
+    for name in ("value", "grad", "value_grad_hess", "hess_dense"):
+        method = getattr(ExactObjective, name)
+
+        def counted(self, x, _method=method):
+            calls[0] += 1
+            return _method(self, x)
+
+        monkeypatch.setattr(ExactObjective, name, counted)
+    monkeypatch.setattr(population, "fit_exact_l1", stop)
+    p_s, N = 5, 6000
+    basis = HistoryBasis(n_bumps=3, tau=10, b=0.4)
+    passes = {}
+    for M2 in (20, 40):
+        truth2 = _population_truth(M2, p_s, basis, 11, density=0.15 * 20 / M2)
+        pop2, C2 = gen_coupled_population(M2, StimulusSpec(kind="gaussian_iid", N=N, p=p_s),
+                                          truth2, basis, 21, dt=1.0)
+        calls[0] = 0
+        with pytest.raises(Stage3):
+            stagewise_population_fit(pop2, basis, C2, [30.0], pcg_budget=3)
+        passes[M2] = calls[0]
+    assert passes[20] > 0
+    assert passes[40] / passes[20] <= 2.5, passes
 
 
 def _best_time(fn, inner, reps=7):

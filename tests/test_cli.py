@@ -12,7 +12,7 @@ import pytest
 import elglm.cli as cli_mod
 import elglm.selection as selection_mod
 from elglm.cli import ConfigError, _apply_overrides, _validate, main, run_experiment
-from elglm.estimators import Ridge, fit_exact, mpele_lnp
+from elglm.estimators import Ridge, fit_exact, mpele_lnp, pcg_refine
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, load_dataset, save_dataset
 from elglm.population import (
@@ -250,13 +250,18 @@ def test_manifest_embeds_the_hashed_config_blob(tmp_path):
     assert manifest["config_sha256"] == hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _exact_fit(tmp_path, capsys, estimator, data=None):
+def _poisson_fit_cfg(estimator, data=None):
     cfg = fit_cfg()
     cfg["data"]["simulate"]["family"] = {"family": "poisson"}
     cfg["data"]["simulate"]["rate"] = 0.5
     cfg["estimator"] = estimator
     if data is not None:
         cfg["data"] = data
+    return cfg
+
+
+def _exact_fit(tmp_path, capsys, estimator, data=None):
+    cfg = _poisson_fit_cfg(estimator, data)
     code, out, err = run_cli(
         capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")]
     )
@@ -266,9 +271,11 @@ def _exact_fit(tmp_path, capsys, estimator, data=None):
 
 def test_exact_estimator_runs_newton_cg_when_c_is_known(tmp_path, capsys):
     ridge = {"kind": "scaled_identity", "dim": 5, "scale": 1.0}
-    _, ncg, _ = _exact_fit(tmp_path, capsys, {"kind": "exact", "R": ridge, "fit_offset": True})
-    _, newton, _ = _exact_fit(
-        tmp_path, capsys, {"kind": "exact", "R": ridge, "fit_offset": True, "method": "newton"}
+    estimator = {"kind": "exact", "R": ridge, "fit_offset": True}
+    _, ncg, _ = _exact_fit(tmp_path, capsys, estimator)
+    data, _, _ = cli_mod._resolve_dataset(_poisson_fit_cfg(estimator)["data"], 11)
+    newton = cli_mod._fit_json(
+        fit_exact(data, penalty=Ridge(ScaledIdentity(5, 1.0)), fit_offset=True)
     )
     assert ncg["solver"] == "fit_exact_newton_cg" and ncg["converged"]
     assert newton["solver"] == "fit_exact_newton" and newton["converged"]
@@ -277,19 +284,54 @@ def test_exact_estimator_runs_newton_cg_when_c_is_known(tmp_path, capsys):
 
 
 def test_exact_estimator_method_errors_are_exit_2(tmp_path, capsys):
-    code, _, err = _exact_fit(tmp_path, capsys, {"kind": "exact", "method": "cg"})
-    assert code == 2 and "method" in err
-    # stored data carries no covariance: Newton by default, newton_cg refused
+    """The estimator takes no method key: the solver follows from the data
+    and C. An unknown estimator key, misspelt or removed, is a config error
+    that names the key."""
+    for key, value in (("method", "newton"), ("method", "newton_cg"), ("lamda", 1.0)):
+        code, _, err = _exact_fit(tmp_path, capsys, {"kind": "exact", key: value})
+        assert code == 2 and f"'{key}' was unexpected" in err
+    # stored data carries no covariance: Newton
     stem = tmp_path / "stored"
     rng = np.random.default_rng(0)
     X = rng.standard_normal((80, 3))
     save_dataset(GlmDataset(X, rng.standard_normal(80), Gaussian()), str(stem))
     code, fit, _ = _exact_fit(tmp_path, capsys, {"kind": "exact"}, data={"stem": str(stem)})
     assert code == 0 and fit["solver"] == "fit_exact_newton"
-    code, _, err = _exact_fit(
-        tmp_path, capsys, {"kind": "exact", "method": "newton_cg"}, data={"stem": str(stem)}
+
+
+def test_pcg_refine_estimator_matches_the_library_call(tmp_path, capsys):
+    """The CLI's pcg_refine is pcg_refine(data, C=C, penalty, k) from the
+    MPELE, with the offset fitted for Poisson data: fit.json bit for bit."""
+    ridge = {"kind": "scaled_identity", "dim": 5, "scale": 1.0}
+    estimator = {"kind": "pcg_refine", "R": ridge, "k": 4}
+    code, fit, _ = _exact_fit(tmp_path, capsys, estimator)
+    assert code == 0
+    data, C, _ = cli_mod._resolve_dataset(_poisson_fit_cfg(estimator)["data"], 11)
+    want = pcg_refine(data, C=C, penalty=Ridge(ScaledIdentity(5, 1.0)), k=4, fit_offset=True)
+    assert fit == json.loads(json.dumps(cli_mod._fit_json(want)))
+    assert fit["solver"] == "pcg_refine" and fit["iterations"] == 4
+    # k = 0 returns the MPELE
+    code, fit, _ = _exact_fit(tmp_path, capsys, {**estimator, "k": 0})
+    start = mpele_lnp(data, C, R=ScaledIdentity(5, 1.0)).params
+    assert code == 0 and fit["iterations"] == 0
+    assert fit["theta"] == start.theta.tolist() and fit["theta0"] == start.theta0
+
+
+def test_pcg_refine_estimator_config_errors_are_exit_2(tmp_path, capsys):
+    """pcg_refine needs C, and Gaussian or Poisson data for its EL start."""
+    stem = tmp_path / "stored"
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((80, 3))
+    save_dataset(GlmDataset(X, rng.standard_normal(80), Gaussian()), str(stem))
+    code, _, err = _exact_fit(tmp_path, capsys, {"kind": "pcg_refine"}, data={"stem": str(stem)})
+    assert code == 2 and "'C'" in err
+    cfg = fit_cfg(p=3)
+    cfg["data"]["simulate"]["family"] = {"family": "bernoulli"}
+    cfg["estimator"] = {"kind": "pcg_refine"}
+    code, _, err = run_cli(
+        capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")]
     )
-    assert code == 2 and "newton_cg" in err and "'C'" in err
+    assert code == 2 and "Gaussian or Poisson" in err
 
 
 def test_rerun_is_bitwise_identical(tmp_path, capsys):
@@ -384,8 +426,9 @@ def _count_exact_fits(monkeypatch):
     log = {"methods": [], "hess_dense": 0}
 
     def fit(*args, **kw):
-        log["methods"].append(kw.get("method", "newton"))
-        return fit_exact(*args, **kw)
+        out = fit_exact(*args, **kw)
+        log["methods"].append(out.solver.removeprefix("fit_exact_"))
+        return out
 
     dense = ExactObjective.hess_dense
 
@@ -498,6 +541,32 @@ def test_sample_laplace_gaussian(tmp_path, capsys):
     lines = (outdir / "summary.csv").read_text().splitlines()
     assert lines[0] == "coordinate,median,q025,q975"
     assert len(lines) == 1 + p
+
+
+def test_sample_laplace_gaussian_builds_one_dense_hessian(tmp_path, capsys, monkeypatch):
+    """With C known for Poisson data, the Laplace target's MAP is truncated
+    Newton: the Laplace covariance is the only dense Hessian."""
+    p = 4
+    cfg = {
+        "seed": 4,
+        "data": {
+            "simulate": {
+                "stimulus": {"kind": "gaussian_iid", "N": 300, "p": p},
+                "family": {"family": "poisson"},
+                "theta_norm": 0.5,
+                "rate": 0.5,
+            }
+        },
+        "target": "laplace-gaussian",
+        "draws": 20,
+        "fit_offset": True,
+        "R": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+    }
+    log = _count_exact_fits(monkeypatch)
+    code, _, _ = run_cli(capsys, ["sample", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 0
+    assert log["methods"] == ["newton_cg"]
+    assert log["hess_dense"] == 1
 
 
 def test_sample_el_hmc(tmp_path, capsys):

@@ -379,7 +379,7 @@ def test_fit_exact_newton_cg_matches_newton(family, design):
     """Truncated Newton from the MPELE (MELE) reaches Newton's MAP."""
     data, C, kw = _newton_cg_case(family, design)
     newton = fit_exact(data, tol=1e-10, **kw)
-    ncg = fit_exact(data, method="newton_cg", C=C, tol=1e-10, **kw)
+    ncg = fit_exact(data, C=C, tol=1e-10, **kw)
     assert newton.converged and ncg.converged
     assert ncg.solver == "fit_exact_newton_cg"
     x_n = np.concatenate(([newton.params.theta0], newton.params.theta))
@@ -395,7 +395,7 @@ def test_fit_exact_stops_when_a_step_leaves_the_value_unchanged(method):
     The fit stops after the first such step instead of running to max_iter,
     and reports converged exactly when the gradient test passed."""
     data, C, kw = _newton_cg_case("poisson", "ar1")
-    fit = fit_exact(data, method=method, C=C, tol=1e-12, **kw)
+    fit = fit_exact(data, C=C if method == "newton_cg" else None, tol=1e-12, **kw)
     assert fit.iterations <= 20
     v = fit.objective_trace[-1]
     assert fit.converged == (fit.diagnostics["grad_norm"] <= 1e-12 * max(1.0, abs(v)))
@@ -413,10 +413,9 @@ def test_fit_exact_newton_cg_uses_the_el_preconditioner():
     C = Dense(data.X.T @ data.X / data.N)
     R = Diagonal(np.linspace(0.5, 2.0, 5))
     want = np.linalg.solve(data.X.T @ data.X + R.to_dense(), data.s)
-    start = fit_exact(data, penalty=Ridge(R), method="newton_cg", C=C)
+    start = fit_exact(data, penalty=Ridge(R), C=C)
     assert start.iterations == 0 and start.diagnostics["hess_actions"] == 0
-    fr = fit_exact(data, penalty=Ridge(R), method="newton_cg", C=C,
-                   init=GlmParams(theta=np.zeros(5)))
+    fr = fit_exact(data, penalty=Ridge(R), C=C, init=GlmParams(theta=np.zeros(5)))
     assert fr.iterations == 1 and fr.diagnostics["hess_actions"] == 1
     for f in (start, fr):
         assert f.converged
@@ -443,7 +442,7 @@ def test_fit_exact_newton_cg_takes_one_full_pass_per_step(monkeypatch):
     monkeypatch.setattr(glm, "exact_loglik", counted_loglik)
     monkeypatch.setattr(estimators.ExactObjective, "hess_dense", counted_hess)
     fr = fit_exact(data, penalty=Ridge(ScaledIdentity(6, 1.0)), fit_offset=True,
-                   method="newton_cg", C=ScaledIdentity(6, 1.0))
+                   C=ScaledIdentity(6, 1.0))
     assert fr.converged and fr.iterations >= 2
     assert calls["hess_dense"] == 0
     assert calls["exact_loglik"] == len(fr.objective_trace) == fr.iterations + 1
@@ -458,15 +457,9 @@ def test_fit_exact_guards():
     small = _gauss_data(rng)
     with pytest.raises(ValueError, match="penalty"):
         fit_exact(small, penalty="ridge")
-    with pytest.raises(ValueError, match="method"):
-        fit_exact(small, method="lbfgs")
-    with pytest.raises(ValueError, match="method"):
-        fit_exact(small, method="cg")
-    with pytest.raises(ValueError, match="covariance C"):
-        fit_exact(small, method="newton_cg")
+    # no closed-form EL start for Bernoulli data: C is not used, Newton runs
     binary = GlmDataset(X=small.X, r=(small.r > 0).astype(float), family=Bernoulli())
-    with pytest.raises(ValueError, match="Poisson or Gaussian"):
-        fit_exact(binary, method="newton_cg", C=ScaledIdentity(small.p, 1.0))
+    assert fit_exact(binary, C=ScaledIdentity(small.p, 1.0)).solver == "fit_exact_newton"
 
 
 def test_fit_exact_dispatches_l1_penalty():
@@ -559,7 +552,7 @@ def test_pcg_k0_returns_init():
     rng = np.random.default_rng(21)
     data = _pois_data(rng)
     init = GlmParams(theta=0.1 * rng.standard_normal(4))
-    fr = pcg_refine(data, init=init, k=0)
+    fr = pcg_refine(data, C=ScaledIdentity(4, 1.0), init=init, k=0)
     assert np.array_equal(fr.params.theta, init.theta)
     assert fr.iterations == 0
 
@@ -569,9 +562,7 @@ def test_pcg_trace_monotone_and_improves():
     data = _pois_data(rng, N=400, p=5)
     C = Dense(data.X.T @ data.X / data.N)
     start = mpele_lnp(data, C)
-    pre = C.scaled(data.N_s)
-    fr = pcg_refine(data, init=start.params, k=8, preconditioner=pre,
-                    theta0=start.params.theta0)
+    fr = pcg_refine(data, C=C, init=start.params, k=8, theta0=start.params.theta0)
     trace = np.array(fr.objective_trace)
     assert np.all(np.diff(trace) >= -1e-10)
     exact = fit_exact(data, init=start.params, theta0=start.params.theta0)
@@ -583,9 +574,8 @@ def test_pcg_trace_monotone_and_improves():
 def test_pcg_perfect_preconditioner_gaussian():
     rng = np.random.default_rng(23)
     data = _gauss_data(rng, N=50, p=4)
-    pre = Dense(data.X.T @ data.X)  # the exact negative Hessian (sigma2=1)
-    fr = pcg_refine(data, init=GlmParams(theta=np.zeros(4)), k=3,
-                    preconditioner=pre, tol=1e-12)
+    C = Dense(data.X.T @ data.X / data.N)  # N C: the exact negative Hessian (sigma2=1)
+    fr = pcg_refine(data, C=C, init=GlmParams(theta=np.zeros(4)), k=3, tol=1e-12)
     want = np.linalg.lstsq(data.X, data.r, rcond=None)[0]
     assert np.allclose(fr.params.theta, want, atol=1e-8)
     assert fr.converged
@@ -595,6 +585,9 @@ def test_pcg_guards():
     rng = np.random.default_rng(24)
     data = _gauss_data(rng)
     with pytest.raises(ValueError, match="k"):
-        pcg_refine(data, k=-1)
+        pcg_refine(data, C=ScaledIdentity(data.p, 1.0), k=-1)
     with pytest.raises(ValueError, match="Ridge"):
-        pcg_refine(data, penalty=L1(1.0))
+        pcg_refine(data, C=ScaledIdentity(data.p, 1.0), penalty=L1(1.0))
+    binary = GlmDataset(X=data.X, r=(data.r > 0).astype(float), family=Bernoulli())
+    with pytest.raises(ValueError, match="Poisson or Gaussian"):
+        pcg_refine(binary, C=ScaledIdentity(data.p, 1.0))
