@@ -1,9 +1,10 @@
 """Expected log-likelihood (EL) toolkit for canonical GLMs.
 
-Fast estimators (MELE / MPELE, L1 paths, PCG-refined MAP), approximate
-marginal likelihood for ridge selection, posterior sampling, risk theory,
-and simulators, all built around the sufficient statistics (X'r, sum r) and
-the stimulus covariance so that likelihood evaluations cost O(p), not O(Np).
+Fast estimators (MELE / MPELE, L1 paths, a MAP refined from them by truncated
+Newton), approximate marginal likelihood for ridge selection, posterior
+sampling, risk theory, and simulators, all built around the sufficient
+statistics (X'r, sum r) and the stimulus covariance so that likelihood
+evaluations cost O(p), not O(Np).
 """
 
 __version__ = "0.1.0"
@@ -42,9 +43,6 @@ from .el import (
 )
 from .estimators import (
     FitResult,
-    L1,
-    Ridge,
-    RidgePlusL1,
     default_lambda_path,
     fit_exact,
     fit_exact_l1,
@@ -53,7 +51,6 @@ from .estimators import (
     mpele_l1_path,
     mpele_l1_path_diagonal,
     mpele_lnp,
-    pcg_refine,
 )
 from .selection import (
     el_logF_scalar,

@@ -27,14 +27,12 @@ import scipy
 from . import __version__
 from .el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_loglik
 from .estimators import (
-    Ridge,
     default_lambda_path,
     fit_exact,
     fit_exact_l1,
     mele_gaussian,
     mpele_l1_path,
     mpele_lnp,
-    pcg_refine,
 )
 from .families import FAMILIES, Gaussian, Poisson, family_from_config
 from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, load_dataset, save_dataset, simulate_responses
@@ -406,21 +404,21 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     elif kind == "mpele":
         fit = mpele_lnp(data, C, R=R)
     elif kind == "exact":
-        pen = Ridge(R) if R is not None else None
-        fit = fit_exact(data, penalty=pen, fit_offset=fit_offset, C=C)
+        fit = fit_exact(data, R=R, fit_offset=fit_offset, C=C)
     elif kind == "exact_l1":
         if "lam" not in est:
             raise ConfigError("estimator exact_l1 needs 'lam'")
         fit = fit_exact_l1(data, est["lam"], R=R, fit_offset=fit_offset)
-    else:  # pcg_refine, from the EL estimate
+    else:  # pcg_refine: k truncated-Newton steps from the EL estimate
+        # other families have no EL start, and fit_exact would run dense
+        # Newton from zero instead of refining
         if not isinstance(data.family, (Gaussian, Poisson)):
             raise ConfigError("pcg_refine needs a Gaussian or Poisson dataset")
-        pen = Ridge(R) if R is not None else None
-        fit = pcg_refine(
+        fit = fit_exact(
             data,
+            R=R,
             C=C,
-            penalty=pen,
-            k=est.get("k", 10),
+            max_iter=est.get("k", 10),
             fit_offset=fit_offset or isinstance(data.family, Poisson),
         )
     (outdir / "fit.json").write_text(json.dumps(_fit_json(fit), indent=2))
@@ -493,7 +491,7 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
         elif method == "gaussian_el":
             ev = gaussian_evidence(data, R=R, mode="el", C=C)
         elif method == "laplace_exact":
-            fit = fit_exact(data, penalty=Ridge(R), fit_offset=True, C=C)
+            fit = fit_exact(data, R=R, fit_offset=True, C=C)
             ev = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True)
         else:
             fit = mpele_lnp(data, C, R=R)
@@ -529,8 +527,7 @@ def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
     n_leapfrog = cfg.get("n_leapfrog", 20)
     burn_in = cfg.get("burn_in")
     if target == "laplace-gaussian":
-        pen = Ridge(R) if R is not None else None
-        fit = fit_exact(data, penalty=pen, fit_offset=fit_offset, C=C)
+        fit = fit_exact(data, R=R, fit_offset=fit_offset, C=C)
         obj = ExactObjective(data, fit_offset=fit_offset, R=R)
         x = obj.vector(fit.params)
         chain = laplace_gaussian_chain(x, -obj.hess_dense(x), draws, seed=seed)

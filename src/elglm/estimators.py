@@ -1,9 +1,10 @@
-"""Point estimators: closed-form MELE/MPELE, L1 paths, exact optimizers, PCG.
+"""Point estimators: closed-form MELE/MPELE, L1 paths and exact optimizers.
 
 The closed forms run at structured-solve cost (no data pass beyond the cached
-X'r); the exact-likelihood optimizers are standard ascent methods kept here
-mostly as oracles and as the refinement stage that turns an MELE/MPELE into a
-MAP-accuracy estimate in a handful of preconditioned iterations.
+X'r); the exact-likelihood optimizers serve as oracles and as the refinement
+stage: a few truncated-Newton steps from the MELE/MPELE, preconditioned by the
+EL Hessian, turn it into a MAP-accuracy estimate (``fit_exact`` with ``C`` and
+a small ``max_iter``).
 
 Penalties apply to the filter theta only, never to the offset theta0.
 """
@@ -21,9 +22,6 @@ from .glm import ExactObjective, GlmDataset, GlmParams
 from .structured import StructuredMatrix, add_structured
 
 __all__ = [
-    "Ridge",
-    "L1",
-    "RidgePlusL1",
     "FitResult",
     "mele_gaussian",
     "mpele_lnp",
@@ -33,29 +31,12 @@ __all__ = [
     "mpele_l1_path",
     "fit_exact",
     "fit_exact_l1",
-    "pcg_refine",
 ]
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 # cyclic CD sweeps run before each attempt to finish an L1 model on its support
 SUPPORT_SWEEPS = 3
-
-
-@dataclasses.dataclass(frozen=True)
-class Ridge:
-    R: StructuredMatrix
-
-
-@dataclasses.dataclass(frozen=True)
-class L1:
-    lam: float
-
-
-@dataclasses.dataclass(frozen=True)
-class RidgePlusL1:
-    R: StructuredMatrix
-    lam: float
 
 
 @dataclasses.dataclass
@@ -354,7 +335,7 @@ def _pcg(action, b, apply_pre, rtol, max_iter):
 
 def fit_exact(
     data: GlmDataset,
-    penalty=None,
+    R: StructuredMatrix = None,
     init: GlmParams = None,
     fit_offset: bool = False,
     theta0: float = 0.0,
@@ -362,14 +343,14 @@ def fit_exact(
     max_iter: int = 200,
     C: StructuredMatrix = None,
 ) -> FitResult:
-    """Maximize the exact penalized log-likelihood (MLE / MAP).
+    """Maximize the exact log-likelihood, penalized by the optional ridge
+    theta'R theta/2 (MLE / ridge MAP).
 
-    Smooth penalties (None, Ridge) run an ascent method with Armijo
-    backtracking, stopping when the gradient infinity-norm drops below
-    tol * max(1, |value|) (``converged``), or unconverged when the step
-    budget runs out, the line search finds no ascent, or an accepted step
-    leaves the value unchanged and the gradient test still fails. The
-    method follows from the data and ``C``:
+    An ascent method with Armijo backtracking, stopping when the gradient
+    infinity-norm drops below tol * max(1, |value|) (``converged``), or
+    unconverged when max_iter steps are taken, the line search finds no
+    ascent, or an accepted step leaves the value unchanged and the gradient
+    test still fails. The method follows from the data and ``C``:
 
     - with the stimulus covariance ``C`` and Poisson or Gaussian data,
       truncated Newton (solver ``fit_exact_newton_cg``) starts from ``init``
@@ -380,19 +361,14 @@ def fit_exact(
     - otherwise Newton (solver ``fit_exact_newton``) solves with the dense
       O(N p^2) Hessian on every step, starting from ``init`` or zero.
 
-    L1-type penalties dispatch to the coordinate descent solver
-    (:func:`fit_exact_l1`). The Gaussian family with no penalty and p >= N
-    raises the non-unique-MLE error instead of returning an arbitrary
-    solution.
+    A refinement of the EL estimate is the first case with a small budget:
+    ``max_iter=k`` takes at most k truncated-Newton steps, and k=0 returns
+    the start. The Gaussian family with no ridge and p >= N raises the
+    non-unique-MLE error instead of returning an arbitrary solution. L1
+    penalties are :func:`fit_exact_l1`'s.
     """
-    if isinstance(penalty, (L1, RidgePlusL1)):
-        R = penalty.R if isinstance(penalty, RidgePlusL1) else None
-        return fit_exact_l1(
-            data, penalty.lam, R=R, init=init, fit_offset=fit_offset, theta0=theta0
-        )
-    R = penalty.R if isinstance(penalty, Ridge) else None
-    if penalty is not None and not isinstance(penalty, Ridge):
-        raise ValueError(f"unsupported penalty: {penalty!r}")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     dim = data.p + (1 if fit_offset else 0)
     if R is None and isinstance(data.family, Gaussian) and dim >= data.N:
         raise ValueError(f"non-unique MLE: p={dim} >= N={data.N} with no regularization")
@@ -532,79 +508,4 @@ def fit_exact_l1(
         converged=converged,
         solver="fit_exact_l1",
         diagnostics={"kkt": kkt},
-    )
-
-
-def pcg_refine(
-    data: GlmDataset,
-    C: StructuredMatrix,
-    penalty=None,
-    init: GlmParams = None,
-    k: int = 10,
-    fit_offset: bool = False,
-    theta0: float = 0.0,
-    tol: float = 0.0,
-) -> FitResult:
-    """k nonlinear PCG iterations on the exact penalized likelihood.
-
-    Poisson or Gaussian data only. Start and preconditioner are those of
-    :func:`fit_exact` given the stimulus covariance ``C``: ``init`` or the
-    MPELE (MELE for Gaussian data), and the EL Hessian blockdiag(n, n C + R).
-    k=0 returns the start unchanged. Iterations stop early only if the
-    gradient vanishes (infinity-norm <= tol * max(1, |value|); tol=0
-    disables the check), so callers get the full trace they asked for.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    R = penalty.R if isinstance(penalty, Ridge) else None
-    if penalty is not None and not isinstance(penalty, Ridge):
-        raise ValueError("pcg_refine supports only None or Ridge penalties")
-    el = _el_recipe(data, C, R, fit_offset, init)
-    if el is None:
-        raise ValueError("pcg_refine needs the stimulus covariance C and Poisson or Gaussian data")
-    start, apply_pre = el
-    obj = ExactObjective(data, fit_offset=fit_offset, theta0=theta0, R=R)
-    x = obj.vector(start)
-
-    t0 = time.perf_counter()
-    v, g = obj.value_grad(x)
-    trace = [v]
-    z = apply_pre(g)
-    d = z.copy()
-    gz = float(g @ z)
-    converged = False
-    it = 0
-    for it_count in range(1, k + 1):
-        if tol > 0 and np.max(np.abs(g)) <= tol * max(1.0, abs(v)):
-            converged = True
-            break
-        slope = float(g @ d)
-        if slope <= 0:
-            d = z.copy()
-            slope = gz
-            if slope <= 0:
-                converged = True
-                break
-        alpha, v_new = _armijo(obj.value, x, d, v, slope)
-        if alpha == 0.0:
-            break
-        x = x + alpha * d
-        it = it_count
-        v, g_new = obj.value_grad(x)
-        trace.append(v)
-        z_new = apply_pre(g_new)
-        gz_new = float(g_new @ z_new)
-        beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
-        d = z_new + beta * d
-        g, z, gz = g_new, z_new, gz_new
-    if tol > 0 and np.max(np.abs(g)) <= tol * max(1.0, abs(v)):
-        converged = True
-    return FitResult(
-        params=obj.params(x),
-        objective_trace=trace,
-        iterations=it,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-        solver="pcg_refine",
-        diagnostics={"grad_norm": float(np.max(np.abs(g)))},
     )

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .families import Poisson
 from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
-from .estimators import fit_exact, fit_exact_l1, mpele_lnp, pcg_refine
+from .estimators import fit_exact, fit_exact_l1, mpele_lnp
 from .structured import StructuredMatrix
 
 __all__ = [
@@ -233,13 +233,15 @@ def stagewise_population_fit(
     """Three-stage fit, one neuron at a time, total cost linear in M.
 
     Stage 1 computes each neuron's stimulus filter by MPELE against C,
-    optionally polished with pcg_budget refinement iterations. Stage 2 fixes
+    optionally polished by at most pcg_budget truncated-Newton steps on the
+    exact likelihood, each solved by CG preconditioned with the EL Hessian
+    (``fit_exact(C=C, max_iter=pcg_budget)``). Stage 2 fixes
     that filter up to a gain and fits (theta0, alpha, self-history) by exact
     Newton. Stage 3 builds each neuron's history design once and sweeps the
     decreasing lam_path on it, refitting (theta0, self-history, couplings) by
     penalized coordinate descent on the exact likelihood with the stimulus
     term frozen at alpha * X_s theta_s; only the couplings carry the L1
-    penalty. Fits are warm-started along the path.
+    penalty, and fits are warm-started along the path.
     """
     lam_path = np.asarray(lam_path, dtype=float)
     if lam_path.ndim != 1 or lam_path.size == 0:
@@ -256,7 +258,7 @@ def stagewise_population_fit(
     for i in range(M):
         d1 = GlmDataset(data.X_s, data.spikes[i], Poisson(dt=data.dt))
         if pcg_budget > 0:
-            stage1.append(pcg_refine(d1, C=C, k=pcg_budget, fit_offset=True))
+            stage1.append(fit_exact(d1, C=C, max_iter=pcg_budget, fit_offset=True))
         else:
             stage1.append(mpele_lnp(d1, C))
 

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .estimators import Ridge, fit_exact
+from .estimators import fit_exact
 from .families import Gaussian, Poisson
 from .glm import ExactObjective, GlmDataset, GlmParams
 from .structured import ScaledIdentity, StructuredMatrix, add_structured
@@ -221,7 +221,7 @@ def rhat_fixed_point(
     for _ in range(max_iter):
         beta = betas[-1]
         R = ScaledIdentity(p, beta)
-        fit = fit_exact(data, penalty=Ridge(R), init=warm, fit_offset=fit_offset, C=C)
+        fit = fit_exact(data, R=R, init=warm, fit_offset=fit_offset, C=C)
         fits.append(fit)
         warm = fit.params
         theta = fit.params.theta

@@ -17,14 +17,12 @@ from scipy.stats import rankdata
 from elglm.cli import run_experiment
 from elglm.el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_loglik
 from elglm.estimators import (
-    Ridge,
     fit_exact,
     fit_exact_l1,
     mele_gaussian,
     mpele_l1_general,
     mpele_l1_path_diagonal,
     mpele_lnp,
-    pcg_refine,
 )
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, simulate_responses
@@ -261,28 +259,58 @@ def _lnp_sim(spec, theta, rate, seed_x, seed_r):
     return GlmDataset(X, r, Poisson()), C
 
 
-def test_criterion_07_pcg_refinement_reaches_map_quality():
-    """On p=250, N=12000 LNP data (white-noise and AR(1) stimuli), 10
-    EL-preconditioned PCG iterations from the MPELE bring the held-out
-    log-likelihood within 1% of the fully converged ridge MAP."""
+def _criterion_07_sets():
+    """(kind, train, held, C) for criterion 07's p=250, N=12000 LNP data with
+    white-noise and AR(1) stimuli."""
     p, N, N_held = 250, 12000, 6000
     for kind, C_in in (("gaussian_iid", None), ("gaussian_structured", ar1_covariance(p, 0.7))):
         theta = unit_theta(p, 50 + (C_in is not None))
         spec = StimulusSpec(kind=kind, N=N, p=p, C=C_in)
         train, C = _lnp_sim(spec, theta, 1.0, 51, 52)
         held, _ = _lnp_sim(StimulusSpec(kind=kind, N=N_held, p=p, C=C_in), theta, 1.0, 53, 54)
+        yield kind, train, held, C
 
-        R = ScaledIdentity(p, 1.0)
-        map_fit = fit_exact(train, penalty=Ridge(R), fit_offset=True)
+
+def test_criterion_07_pcg_refinement_reaches_map_quality():
+    """On p=250, N=12000 LNP data (white-noise and AR(1) stimuli), 3
+    truncated-Newton steps from the MPELE, each solved by EL-preconditioned
+    CG, bring the held-out log-likelihood within 1% of the fully converged
+    ridge MAP."""
+    for kind, train, held, C in _criterion_07_sets():
+        R = ScaledIdentity(train.p, 1.0)
+        map_fit = fit_exact(train, R=R, fit_offset=True)
         assert map_fit.converged
         init = mpele_lnp(train, C, R=R)
-        refined = pcg_refine(train, C=C, penalty=Ridge(R), init=init.params, k=10,
-                             fit_offset=True)
+        refined = fit_exact(train, R=R, init=init.params, C=C, max_iter=3, fit_offset=True)
 
         L_map = exact_loglik(held, map_fit.params).value
         L_pcg = exact_loglik(held, refined.params).value
         assert np.isfinite(L_pcg)
         assert abs(L_pcg - L_map) <= 0.01 * abs(L_map), (kind, L_pcg, L_map)
+
+
+def test_criterion_07_refinement_passes_are_counted(monkeypatch):
+    """The count behind criterion 07: a 3-step refinement from the MPELE
+    builds no dense Hessian, takes one full (value, gradient, Hessian-weight)
+    pass per iterate and at most one value-only pass per step."""
+    calls = dict.fromkeys(("value", "value_grad_hess", "hess_dense"), 0)
+    for name in calls:
+        method = getattr(ExactObjective, name)
+
+        def counted(self, x, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, x)
+
+        monkeypatch.setattr(ExactObjective, name, counted)
+    for kind, train, _, C in _criterion_07_sets():
+        R = ScaledIdentity(train.p, 1.0)
+        init = mpele_lnp(train, C, R=R)
+        calls.update(dict.fromkeys(calls, 0))
+        fit = fit_exact(train, R=R, init=init.params, C=C, max_iter=3, fit_offset=True)
+        assert fit.solver == "fit_exact_newton_cg"
+        assert calls["hess_dense"] == 0, (kind, calls)
+        assert calls["value_grad_hess"] == fit.iterations + 1 == len(fit.objective_trace) <= 4
+        assert calls["value"] <= 3, (kind, calls)
 
 
 def test_criterion_08_el_hmc_against_exact_hmc_and_profile():
@@ -524,8 +552,8 @@ def test_criterion_10_el_loglik_reads_no_per_datum_data(family, engine):
 def test_criterion_11_recorded_data_results_out_of_scope():
     """The recorded retinal-data numbers need the original recordings, which
     this repository does not ship; the pipelines that produced them run
-    end-to-end on simulated data in the three tests above (PCG refinement,
+    end-to-end on simulated data in the three tests above (MAP refinement,
     EL-HMC sampling, staged population fitting)."""
-    for entry_point in (pcg_refine, hmc_chain, surrogate_hmc_chain,
+    for entry_point in (fit_exact, hmc_chain, surrogate_hmc_chain,
                         stagewise_population_fit, bits_per_second):
         assert callable(entry_point)

@@ -12,7 +12,7 @@ import pytest
 import elglm.cli as cli_mod
 import elglm.selection as selection_mod
 from elglm.cli import ConfigError, _apply_overrides, _validate, main, run_experiment
-from elglm.estimators import Ridge, fit_exact, mpele_lnp, pcg_refine
+from elglm.estimators import fit_exact, mpele_lnp
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, load_dataset, save_dataset
 from elglm.population import (
@@ -275,7 +275,7 @@ def test_exact_estimator_runs_newton_cg_when_c_is_known(tmp_path, capsys):
     _, ncg, _ = _exact_fit(tmp_path, capsys, estimator)
     data, _, _ = cli_mod._resolve_dataset(_poisson_fit_cfg(estimator)["data"], 11)
     newton = cli_mod._fit_json(
-        fit_exact(data, penalty=Ridge(ScaledIdentity(5, 1.0)), fit_offset=True)
+        fit_exact(data, R=ScaledIdentity(5, 1.0), fit_offset=True)
     )
     assert ncg["solver"] == "fit_exact_newton_cg" and ncg["converged"]
     assert newton["solver"] == "fit_exact_newton" and newton["converged"]
@@ -300,16 +300,17 @@ def test_exact_estimator_method_errors_are_exit_2(tmp_path, capsys):
 
 
 def test_pcg_refine_estimator_matches_the_library_call(tmp_path, capsys):
-    """The CLI's pcg_refine is pcg_refine(data, C=C, penalty, k) from the
-    MPELE, with the offset fitted for Poisson data: fit.json bit for bit."""
+    """The CLI's pcg_refine is fit_exact(data, R=R, C=C, max_iter=k): k
+    truncated-Newton steps from the MPELE, with the offset fitted for Poisson
+    data. fit.json bit for bit."""
     ridge = {"kind": "scaled_identity", "dim": 5, "scale": 1.0}
     estimator = {"kind": "pcg_refine", "R": ridge, "k": 4}
     code, fit, _ = _exact_fit(tmp_path, capsys, estimator)
     assert code == 0
     data, C, _ = cli_mod._resolve_dataset(_poisson_fit_cfg(estimator)["data"], 11)
-    want = pcg_refine(data, C=C, penalty=Ridge(ScaledIdentity(5, 1.0)), k=4, fit_offset=True)
+    want = fit_exact(data, R=ScaledIdentity(5, 1.0), C=C, max_iter=4, fit_offset=True)
     assert fit == json.loads(json.dumps(cli_mod._fit_json(want)))
-    assert fit["solver"] == "pcg_refine" and fit["iterations"] == 4
+    assert fit["solver"] == "fit_exact_newton_cg" and 1 <= fit["iterations"] <= 4
     # k = 0 returns the MPELE
     code, fit, _ = _exact_fit(tmp_path, capsys, {**estimator, "k": 0})
     start = mpele_lnp(data, C, R=ScaledIdentity(5, 1.0)).params
@@ -318,7 +319,8 @@ def test_pcg_refine_estimator_matches_the_library_call(tmp_path, capsys):
 
 
 def test_pcg_refine_estimator_config_errors_are_exit_2(tmp_path, capsys):
-    """pcg_refine needs C, and Gaussian or Poisson data for its EL start."""
+    """pcg_refine needs C, and Gaussian or Poisson data for its EL start:
+    fit_exact would run dense Newton from zero on other families."""
     stem = tmp_path / "stored"
     rng = np.random.default_rng(0)
     X = rng.standard_normal((80, 3))
@@ -468,7 +470,7 @@ def test_select_laplace_exact_sweep_is_hessian_free_with_c(tmp_path, capsys, mon
     lines = (pathlib.Path(out.strip()) / "sweep.csv").read_text().splitlines()
     for line, beta in zip(lines[1:], cfg["beta_grid"]):
         R = ScaledIdentity(p, beta)
-        fit = fit_exact(data, penalty=Ridge(R), fit_offset=True)
+        fit = fit_exact(data, R=R, fit_offset=True)
         want = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True).value
         assert float(line.split(",")[1]) == pytest.approx(want, rel=1e-10)
 

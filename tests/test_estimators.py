@@ -12,9 +12,6 @@ import elglm.glm as glm
 from elglm._cd import cd_quadratic_l1
 from elglm.el import AnalyticExponential, el_loglik
 from elglm.estimators import (
-    L1,
-    Ridge,
-    RidgePlusL1,
     default_lambda_path,
     fit_exact,
     fit_exact_l1,
@@ -23,7 +20,6 @@ from elglm.estimators import (
     mpele_l1_path,
     mpele_l1_path_diagonal,
     mpele_lnp,
-    pcg_refine,
 )
 from elglm.families import Bernoulli, Gaussian, Poisson
 from elglm.glm import GlmDataset, GlmParams, exact_loglik
@@ -332,7 +328,7 @@ def test_fit_exact_gaussian_ridge_closed_form():
     sigma2 = 2.0
     data = _gauss_data(rng, N=50, p=4, sigma2=sigma2)
     Rm = _spd(rng, 4)
-    fr = fit_exact(data, penalty=Ridge(Dense(Rm)))
+    fr = fit_exact(data, R=Dense(Rm))
     want = np.linalg.solve(data.X.T @ data.X / sigma2 + Rm, data.s / sigma2)
     assert np.allclose(fr.params.theta, want, atol=1e-9)
 
@@ -368,7 +364,7 @@ def _newton_cg_case(family, design):
     if family == "poisson":
         r = rng.poisson(np.exp(X @ th - 0.5)).astype(float)
         data = GlmDataset(X=X, r=r, family=Poisson())
-        return data, C, {"penalty": Ridge(ScaledIdentity(p, 2.0)), "fit_offset": True}
+        return data, C, {"R": ScaledIdentity(p, 2.0), "fit_offset": True}
     r = X @ th + rng.standard_normal(N)
     return GlmDataset(X=X, r=r, family=Gaussian()), C, {}
 
@@ -407,19 +403,25 @@ def test_fit_exact_stops_when_a_step_leaves_the_value_unchanged(method):
 
 def test_fit_exact_newton_cg_uses_the_el_preconditioner():
     """With C the sample covariance, N C + R is the exact Gaussian Hessian:
-    the MELE is already the MAP, and from zero one PCG action solves it."""
+    the MELE is already the MAP, and from zero one PCG action solves it. With
+    no ridge, the same holds for the least-squares fit."""
     rng = np.random.default_rng(27)
     data = _gauss_data(rng, N=80, p=5)
     C = Dense(data.X.T @ data.X / data.N)
     R = Diagonal(np.linspace(0.5, 2.0, 5))
     want = np.linalg.solve(data.X.T @ data.X + R.to_dense(), data.s)
-    start = fit_exact(data, penalty=Ridge(R), C=C)
+    start = fit_exact(data, R=R, C=C)
     assert start.iterations == 0 and start.diagnostics["hess_actions"] == 0
-    fr = fit_exact(data, penalty=Ridge(R), C=C, init=GlmParams(theta=np.zeros(5)))
+    fr = fit_exact(data, R=R, C=C, init=GlmParams(theta=np.zeros(5)))
     assert fr.iterations == 1 and fr.diagnostics["hess_actions"] == 1
     for f in (start, fr):
         assert f.converged
         np.testing.assert_allclose(f.params.theta, want, rtol=1e-10)
+    ls = fit_exact(data, C=C, init=GlmParams(theta=np.zeros(5)), max_iter=3, tol=1e-12)
+    assert ls.converged
+    np.testing.assert_allclose(
+        ls.params.theta, np.linalg.lstsq(data.X, data.r, rcond=None)[0], rtol=0, atol=1e-8
+    )
 
 
 def test_fit_exact_newton_cg_takes_one_full_pass_per_step(monkeypatch):
@@ -441,7 +443,7 @@ def test_fit_exact_newton_cg_takes_one_full_pass_per_step(monkeypatch):
 
     monkeypatch.setattr(glm, "exact_loglik", counted_loglik)
     monkeypatch.setattr(estimators.ExactObjective, "hess_dense", counted_hess)
-    fr = fit_exact(data, penalty=Ridge(ScaledIdentity(6, 1.0)), fit_offset=True,
+    fr = fit_exact(data, R=ScaledIdentity(6, 1.0), fit_offset=True,
                    C=ScaledIdentity(6, 1.0))
     assert fr.converged and fr.iterations >= 2
     assert calls["hess_dense"] == 0
@@ -455,24 +457,9 @@ def test_fit_exact_guards():
     with pytest.raises(ValueError, match="non-unique"):
         fit_exact(data)
     small = _gauss_data(rng)
-    with pytest.raises(ValueError, match="penalty"):
-        fit_exact(small, penalty="ridge")
     # no closed-form EL start for Bernoulli data: C is not used, Newton runs
     binary = GlmDataset(X=small.X, r=(small.r > 0).astype(float), family=Bernoulli())
     assert fit_exact(binary, C=ScaledIdentity(small.p, 1.0)).solver == "fit_exact_newton"
-
-
-def test_fit_exact_dispatches_l1_penalty():
-    rng = np.random.default_rng(16)
-    data = _gauss_data(rng, p=4)
-    lam = 0.7 * np.max(np.abs(data.s))
-    a = fit_exact(data, penalty=L1(lam))
-    b = fit_exact_l1(data, lam)
-    assert np.array_equal(a.params.theta, b.params.theta)
-    Rm = ScaledIdentity(4, 2.0)
-    c = fit_exact(data, penalty=RidgePlusL1(Rm, lam))
-    d = fit_exact_l1(data, lam, R=Rm)
-    assert np.array_equal(c.params.theta, d.params.theta)
 
 
 def _lasso_oracle(A, b, lam_vec):
@@ -546,13 +533,13 @@ def test_fit_exact_l1_rejects_negative_lam():
         fit_exact_l1(data, -1.0)
 
 
-# --- PCG refinement ---------------------------------------------------------
+# --- refinement: a few truncated-Newton steps from the EL estimate ------------
 
 def test_pcg_k0_returns_init():
     rng = np.random.default_rng(21)
     data = _pois_data(rng)
     init = GlmParams(theta=0.1 * rng.standard_normal(4))
-    fr = pcg_refine(data, C=ScaledIdentity(4, 1.0), init=init, k=0)
+    fr = fit_exact(data, C=ScaledIdentity(4, 1.0), init=init, max_iter=0)
     assert np.array_equal(fr.params.theta, init.theta)
     assert fr.iterations == 0
 
@@ -562,8 +549,9 @@ def test_pcg_trace_monotone_and_improves():
     data = _pois_data(rng, N=400, p=5)
     C = Dense(data.X.T @ data.X / data.N)
     start = mpele_lnp(data, C)
-    fr = pcg_refine(data, C=C, init=start.params, k=8, theta0=start.params.theta0)
+    fr = fit_exact(data, C=C, init=start.params, max_iter=2, theta0=start.params.theta0)
     trace = np.array(fr.objective_trace)
+    assert len(trace) == fr.iterations + 1 <= 3
     assert np.all(np.diff(trace) >= -1e-10)
     exact = fit_exact(data, init=start.params, theta0=start.params.theta0)
     gap0 = exact.objective_trace[-1] - trace[0]
@@ -571,23 +559,14 @@ def test_pcg_trace_monotone_and_improves():
     assert gap < 0.1 * gap0  # a few preconditioned steps close most of the gap
 
 
-def test_pcg_perfect_preconditioner_gaussian():
-    rng = np.random.default_rng(23)
-    data = _gauss_data(rng, N=50, p=4)
-    C = Dense(data.X.T @ data.X / data.N)  # N C: the exact negative Hessian (sigma2=1)
-    fr = pcg_refine(data, C=C, init=GlmParams(theta=np.zeros(4)), k=3, tol=1e-12)
-    want = np.linalg.lstsq(data.X, data.r, rcond=None)[0]
-    assert np.allclose(fr.params.theta, want, atol=1e-8)
-    assert fr.converged
-
-
 def test_pcg_guards():
     rng = np.random.default_rng(24)
     data = _gauss_data(rng)
-    with pytest.raises(ValueError, match="k"):
-        pcg_refine(data, C=ScaledIdentity(data.p, 1.0), k=-1)
-    with pytest.raises(ValueError, match="Ridge"):
-        pcg_refine(data, C=ScaledIdentity(data.p, 1.0), penalty=L1(1.0))
+    for C in (None, ScaledIdentity(data.p, 1.0)):
+        with pytest.raises(ValueError, match="max_iter"):
+            fit_exact(data, C=C, max_iter=-1)
+    # Bernoulli data have no EL start to refine: the budget goes to Newton from zero
     binary = GlmDataset(X=data.X, r=(data.r > 0).astype(float), family=Bernoulli())
-    with pytest.raises(ValueError, match="Poisson or Gaussian"):
-        pcg_refine(binary, C=ScaledIdentity(data.p, 1.0))
+    fr = fit_exact(binary, C=ScaledIdentity(data.p, 1.0), max_iter=0)
+    assert fr.solver == "fit_exact_newton"
+    assert not np.any(fr.params.theta)

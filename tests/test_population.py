@@ -240,11 +240,15 @@ def test_stagewise_pcg_budget_polishes_stage1(coupled_sim):
     lam = np.array([10.0])
     plain = stagewise_population_fit(data, basis, C, lam)
     polished = stagewise_population_fit(data, basis, C, lam, pcg_budget=5)
+    one_step = stagewise_population_fit(data, basis, C, lam, pcg_budget=1)
     for i in range(data.M):
         d1 = GlmDataset(data.X_s, data.spikes[i], Poisson(dt=data.dt))
         L0 = exact_loglik(d1, plain.stage1[i].params).value
         L1 = exact_loglik(d1, polished.stage1[i].params).value
         assert L1 >= L0 - 1e-10
+        # the budget counts truncated-Newton steps from the MPELE
+        assert polished.stage1[i].solver == "fit_exact_newton_cg"
+        assert one_step.stage1[i].iterations <= 1
 
 
 def test_stagewise_fit_matches_the_cyclic_per_lambda_path(coupled_sim, monkeypatch):

@@ -13,4 +13,4 @@ def test_readme_quick_start_runs(capsys):
     assert namespace["exact_fit"].converged
     assert namespace["exact_fit"].solver == "fit_exact_newton_cg"
     out = capsys.readouterr().out
-    assert "|mpele - map|" in out and "|pcg - map|" in out
+    assert "|mpele - map|" in out and "|refined - map|" in out

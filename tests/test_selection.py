@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from elglm.estimators import Ridge, fit_exact, mpele_lnp
+from elglm.estimators import fit_exact, mpele_lnp
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
 from elglm.selection import (
@@ -95,7 +95,7 @@ def test_laplace_equals_gaussian_evidence_quadratic_case():
     rng = np.random.default_rng(4)
     data = _gauss_data(rng, N=50, p=4, sigma2=1.0)
     Rm = Dense(_spd(rng, 4))
-    fit = fit_exact(data, penalty=Ridge(Rm))
+    fit = fit_exact(data, R=Rm)
     a = laplace_evidence(data, Rm, fit.params)
     b = gaussian_evidence(data, R=Rm)
     assert a.value == pytest.approx(b.value, rel=1e-10)
@@ -112,7 +112,7 @@ def test_laplace_exact_vs_quadrature_poisson():
         X = rng.standard_normal((N, 1))
         r = rng.poisson(0.4 * np.exp(0.5 * X[:, 0])).astype(float)
         data = GlmDataset(X=X, r=r, family=Poisson(dt=1.0))
-        fit = fit_exact(data, penalty=Ridge(R))
+        fit = fit_exact(data, R=R)
         ev = laplace_evidence(data, R, fit.params)
 
         def f(th):
@@ -272,7 +272,7 @@ def test_fixed_point_equation_holds_at_convergence():
     th = fit.params.theta
     # recompute the update from scratch at the final iterate
     refit = fit_exact(
-        data, penalty=Ridge(ScaledIdentity(4, beta)), init=fit.params, fit_offset=True
+        data, R=ScaledIdentity(4, beta), init=fit.params, fit_offset=True
     )
     x = np.concatenate(([refit.params.theta0], refit.params.theta))
     H = ExactObjective(data, fit_offset=True).hess_dense(x)
