@@ -403,8 +403,7 @@ def test_fit_exact_stops_when_a_step_leaves_the_value_unchanged(method):
 
 def test_fit_exact_newton_cg_uses_the_el_preconditioner():
     """With C the sample covariance, N C + R is the exact Gaussian Hessian:
-    the MELE is already the MAP, and from zero one PCG action solves it. With
-    no ridge, the same holds for the least-squares fit."""
+    the MELE is already the MAP, and from zero one PCG action solves it."""
     rng = np.random.default_rng(27)
     data = _gauss_data(rng, N=80, p=5)
     C = Dense(data.X.T @ data.X / data.N)
@@ -417,11 +416,6 @@ def test_fit_exact_newton_cg_uses_the_el_preconditioner():
     for f in (start, fr):
         assert f.converged
         np.testing.assert_allclose(f.params.theta, want, rtol=1e-10)
-    ls = fit_exact(data, C=C, init=GlmParams(theta=np.zeros(5)), max_iter=3, tol=1e-12)
-    assert ls.converged
-    np.testing.assert_allclose(
-        ls.params.theta, np.linalg.lstsq(data.X, data.r, rcond=None)[0], rtol=0, atol=1e-8
-    )
 
 
 def test_fit_exact_newton_cg_takes_one_full_pass_per_step(monkeypatch):
@@ -557,6 +551,16 @@ def test_pcg_trace_monotone_and_improves():
     gap0 = exact.objective_trace[-1] - trace[0]
     gap = exact.objective_trace[-1] - trace[-1]
     assert gap < 0.1 * gap0  # a few preconditioned steps close most of the gap
+
+
+def test_pcg_perfect_preconditioner_gaussian():
+    rng = np.random.default_rng(23)
+    data = _gauss_data(rng, N=50, p=4)
+    C = Dense(data.X.T @ data.X / data.N)  # N C: the exact negative Hessian (sigma2=1)
+    fr = fit_exact(data, C=C, init=GlmParams(theta=np.zeros(4)), max_iter=3, tol=1e-12)
+    want = np.linalg.lstsq(data.X, data.r, rcond=None)[0]
+    assert np.allclose(fr.params.theta, want, atol=1e-8)
+    assert fr.converged
 
 
 def test_pcg_guards():
