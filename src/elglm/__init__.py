@@ -46,11 +46,10 @@ from .estimators import (
     default_lambda_path,
     fit_exact,
     fit_exact_l1,
-    mele_gaussian,
+    mele,
     mpele_l1_general,
     mpele_l1_path,
     mpele_l1_path_diagonal,
-    mpele_lnp,
 )
 from .selection import (
     el_logF_scalar,

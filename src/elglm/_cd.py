@@ -43,15 +43,17 @@ def cd_quadratic_l1(A, s, lam, theta0, max_sweeps=1000, tol=1e-8):
                 g += delta * A[:, j]
                 theta[j] = new
         n_sweeps = sweep + 1
-        kkt = _kkt_residual(s, g, lam, theta)
+        kkt = _kkt_residual(s - g, theta, lam)
         if kkt <= tol:
             break
     return theta, n_sweeps, kkt
 
 
-def _kkt_residual(s, g, lam, theta):
-    r = s - g
+def _kkt_residual(grad, theta, lam):
+    """Max L1 KKT violation, given the gradient of the smooth part at theta:
+    |grad_j - sign(theta_j) lam_j| where theta_j != 0, else
+    max(|grad_j| - lam_j, 0)."""
     active = theta != 0.0
-    viol = np.abs(r - np.sign(theta) * lam)
-    viol_inactive = np.maximum(np.abs(r) - lam, 0.0)
+    viol = np.abs(grad - np.sign(theta) * lam)
+    viol_inactive = np.maximum(np.abs(grad) - lam, 0.0)
     return float(np.max(np.where(active, viol, viol_inactive)))

@@ -30,9 +30,8 @@ from .estimators import (
     default_lambda_path,
     fit_exact,
     fit_exact_l1,
-    mele_gaussian,
+    mele,
     mpele_l1_path,
-    mpele_lnp,
 )
 from .families import FAMILIES, Gaussian, Poisson, family_from_config
 from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, load_dataset, save_dataset, simulate_responses
@@ -383,9 +382,13 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     C = structured_from_config(cfg["C"]) if "C" in cfg else C_true
     est = cfg["estimator"]
     kind = est["kind"]
-    needs_c = kind in ("mele", "mpele", "mpele_l1", "pcg_refine")
-    if needs_c and C is None:
-        raise ConfigError(f"estimator {kind!r} needs a covariance: give 'C' in the config")
+    # the EL kinds start from the closed form, which only Gaussian and Poisson
+    # data have; fit_exact would otherwise run dense Newton from zero
+    if kind in ("mele", "mpele", "mpele_l1", "pcg_refine"):
+        if C is None:
+            raise ConfigError(f"estimator {kind!r} needs a covariance: give 'C' in the config")
+        if not isinstance(data.family, (Gaussian, Poisson)):
+            raise ConfigError(f"estimator {kind!r} needs a Gaussian or Poisson dataset")
     R = structured_from_config(est["R"]) if "R" in est else None
     fit_offset = est.get("fit_offset", False)
     outputs = []
@@ -399,10 +402,8 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
         _write_csv(outdir / "path.csv", ["lam", "nnz", "kkt"], rows)
         outputs.append("path.csv")
         fit = fits[-1]
-    elif kind == "mele":
-        fit = mele_gaussian(data, C, R=R)
-    elif kind == "mpele":
-        fit = mpele_lnp(data, C, R=R)
+    elif kind in ("mele", "mpele"):
+        fit = mele(data, C, R=R)
     elif kind == "exact":
         fit = fit_exact(data, R=R, fit_offset=fit_offset, C=C)
     elif kind == "exact_l1":
@@ -410,10 +411,6 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
             raise ConfigError("estimator exact_l1 needs 'lam'")
         fit = fit_exact_l1(data, est["lam"], R=R, fit_offset=fit_offset)
     else:  # pcg_refine: k truncated-Newton steps from the EL estimate
-        # other families have no EL start, and fit_exact would run dense
-        # Newton from zero instead of refining
-        if not isinstance(data.family, (Gaussian, Poisson)):
-            raise ConfigError("pcg_refine needs a Gaussian or Poisson dataset")
         fit = fit_exact(
             data,
             R=R,
@@ -494,7 +491,7 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
             fit = fit_exact(data, R=R, fit_offset=True, C=C)
             ev = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True)
         else:
-            fit = mpele_lnp(data, C, R=R)
+            fit = mele(data, C, R=R)
             ev = laplace_evidence(data, R, fit.params, mode="el", C=C)
         rows.append((beta, ev.value))
     _write_csv(outdir / "sweep.csv", ["beta", "log_evidence"], rows)
@@ -505,12 +502,11 @@ def _build_potentials(data, C, R, fit_offset):
     exact_obj = ExactObjective(data, fit_offset=fit_offset, R=R)
     if isinstance(data.family, Gaussian):
         engine = AnalyticQuadratic(C)
-        init_fit = mele_gaussian(data, C)
     elif isinstance(data.family, Poisson):
         engine = AnalyticExponential(C)
-        init_fit = mpele_lnp(data, C)
     else:
         raise ConfigError("sampling setup supports Gaussian and Poisson datasets")
+    init_fit = mele(data, C)
     el_obj = ELObjective(engine, data, fit_offset=fit_offset, R=R)
     x0 = exact_obj.vector(init_fit.params)
     return exact_obj, make_potential(exact_obj), make_potential(el_obj), x0

@@ -1,10 +1,13 @@
-"""Point estimators: closed-form MELE/MPELE, L1 paths and exact optimizers.
+"""Point estimators: the closed-form EL estimate, L1 paths and exact optimizers.
 
-The closed forms run at structured-solve cost (no data pass beyond the cached
-X'r); the exact-likelihood optimizers serve as oracles and as the refinement
-stage: a few truncated-Newton steps from the MELE/MPELE, preconditioned by the
-EL Hessian, turn it into a MAP-accuracy estimate (``fit_exact`` with ``C`` and
-a small ``max_iter``).
+The closed forms solve (n C + R) theta = X'r, up to the family's scale, at
+structured-solve cost (no data pass beyond the cached X'r). Only n depends on
+the family, and ``_el_n`` decides it once: N_s for Poisson data (the MPELE,
+with the offset profiled out) and N for Gaussian data (the MELE). The
+exact-likelihood optimizers serve as oracles and as the refinement stage: a
+few truncated-Newton steps from :func:`mele`, preconditioned by the EL
+Hessian, turn it into a MAP-accuracy estimate (``fit_exact`` with ``C`` and a
+small ``max_iter``).
 
 Penalties apply to the filter theta only, never to the offset theta0.
 """
@@ -16,15 +19,14 @@ import time
 
 import numpy as np
 
-from ._cd import cd_quadratic_l1
+from ._cd import _kkt_residual, cd_quadratic_l1
 from .families import Gaussian, Poisson
 from .glm import ExactObjective, GlmDataset, GlmParams
 from .structured import StructuredMatrix, add_structured
 
 __all__ = [
     "FitResult",
-    "mele_gaussian",
-    "mpele_lnp",
+    "mele",
     "default_lambda_path",
     "mpele_l1_path_diagonal",
     "mpele_l1_general",
@@ -55,48 +57,51 @@ def _system(C: StructuredMatrix, factor: float, R) -> StructuredMatrix:
     return M if R is None else add_structured(M, R)
 
 
-def mele_gaussian(data: GlmDataset, C: StructuredMatrix, R=None) -> FitResult:
-    """MELE for the Gaussian-family EL: solve (N C + R) theta = X'r.
-
-    The reported objective is the defining quadratic s'theta - theta'(NC+R)theta/2
-    (the EL up to the family scale and theta-constants).
-    """
-    t0 = time.perf_counter()
-    M = _system(C, data.N, R)
-    theta = M.solve_shifted(0.0, data.s)
-    obj = float(data.s @ theta) - 0.5 * float(theta @ M.matvec(theta))
-    return FitResult(
-        params=GlmParams(theta=theta),
-        objective_trace=[obj],
-        iterations=0,
-        wall_time=time.perf_counter() - t0,
-        converged=True,
-        solver="mele_gaussian",
+def _el_n(data: GlmDataset) -> float:
+    """The data scale n of the EL's closed form (n C + R) theta = X'r: N_s for
+    Poisson data, whose offset the profile EL maximizes out, and N for
+    Gaussian data. Other families have no closed-form EL estimate."""
+    if isinstance(data.family, Poisson):
+        return float(data.N_s)
+    if isinstance(data.family, Gaussian):
+        return float(data.N)
+    raise ValueError(
+        f"no closed-form EL estimate for {data.family.name} data: needs Gaussian or Poisson"
     )
 
 
-def mpele_lnp(data: GlmDataset, C: StructuredMatrix, R=None) -> FitResult:
-    """LNP MPELE: theta = (C N_s + R)^{-1} X'r, the (regularized) spike-
-    triggered average, with the profile-optimal offset
-    theta0* = log(N_s / (N dt)) - theta' C theta / 2.
+def mele(data: GlmDataset, C: StructuredMatrix, R=None) -> FitResult:
+    """Closed-form maximizer of the (ridge-penalized) EL under the family's
+    analytic engine: solve (s_f n C + R) theta = s_f X'r, with s_f the
+    family's ``scale`` (1/sigma^2 for Gaussian data, 1 for Poisson data) and
+    n from the family (N_s or N).
+
+    For Poisson data this is the MPELE, the (regularized) spike-triggered
+    average, with the profile-optimal offset
+    theta0* = log(N_s / (N dt)) - theta' C theta / 2; Gaussian data keep
+    theta0 = 0. The reported objective is the defining quadratic
+    s_f s'theta - theta'(s_f n C + R)theta/2 (the EL up to theta-constants).
     """
     t0 = time.perf_counter()
-    if not isinstance(data.family, Poisson):
-        raise ValueError("mpele_lnp requires a Poisson (LNP) dataset")
-    if data.N_s <= 0:
+    n = _el_n(data)
+    if n <= 0:
         raise ValueError("no events: N_s = 0, the spike-triggered average is undefined")
-    M = _system(C, data.N_s, R)
-    theta = M.solve_shifted(0.0, data.s)
-    quad = float(theta @ C.matvec(theta))
-    theta0 = float(np.log(data.N_s / (data.N * data.family.dt)) - 0.5 * quad)
-    obj = float(data.s @ theta) - 0.5 * float(theta @ M.matvec(theta))
+    scale = data.family.scale
+    M = _system(C, scale * n, R)
+    b = scale * data.s
+    theta = M.solve_shifted(0.0, b)
+    theta0 = 0.0
+    if isinstance(data.family, Poisson):
+        quad = float(theta @ C.matvec(theta))
+        theta0 = float(np.log(data.N_s / (data.N * data.family.dt)) - 0.5 * quad)
+    obj = float(b @ theta) - 0.5 * float(theta @ M.matvec(theta))
     return FitResult(
         params=GlmParams(theta=theta, theta0=theta0),
         objective_trace=[obj],
         iterations=0,
         wall_time=time.perf_counter() - t0,
         converged=True,
-        solver="mpele_lnp",
+        solver="mele",
     )
 
 
@@ -115,13 +120,6 @@ def _check_path(lam_path):
     if lam_path.size > 1 and np.any(np.diff(lam_path) >= 0):
         raise ValueError("lambda path must be strictly decreasing")
     return lam_path
-
-
-def _l1_kkt(grad, x_theta, lam_vec):
-    active = x_theta != 0.0
-    viol_active = np.abs(grad - np.sign(x_theta) * lam_vec)
-    viol_zero = np.maximum(np.abs(grad) - lam_vec, 0.0)
-    return float(np.max(np.where(active, viol_active, viol_zero)))
 
 
 def _support_solve(A, s, lam, x):
@@ -161,7 +159,7 @@ def _solve_l1_model(A, s, lam, x0, tol, max_sweeps):
         x_new = _support_solve(A, s, lam, x)
         if x_new is None:
             continue
-        kkt_new = _l1_kkt(s - A @ x_new, x_new, lam)
+        kkt_new = _kkt_residual(s - A @ x_new, x_new, lam)
         if kkt_new < kkt:
             x, kkt = x_new, kkt_new
             if kkt <= tol:
@@ -169,12 +167,12 @@ def _solve_l1_model(A, s, lam, x0, tol, max_sweeps):
     return x, sweeps, kkt
 
 
-def mpele_l1_path_diagonal(data: GlmDataset, C: StructuredMatrix, lam_path, n_factor=None):
+def mpele_l1_path_diagonal(data: GlmDataset, C: StructuredMatrix, lam_path):
     """Exact soft-threshold path for diagonal C, O(Np + p |path|) total.
 
     theta_j = 0 when |(X'r)_j| <= lam (ties resolve to 0), else
-    ((X'r)_j - lam sign) / (n C_jj) with n = N (Gaussian EL) by default;
-    pass n_factor=data.N_s for the LNP profile EL.
+    ((X'r)_j - lam sign) / (n C_jj), with n = N_s for Poisson data (the LNP
+    profile EL) and N for Gaussian data.
     """
     lam_path = _check_path(lam_path)
     dense = C.to_dense()
@@ -183,7 +181,7 @@ def mpele_l1_path_diagonal(data: GlmDataset, C: StructuredMatrix, lam_path, n_fa
         raise ValueError("C must be diagonal")
     if np.any(diag <= 0):
         raise ValueError("C must have strictly positive diagonal")
-    n = float(data.N if n_factor is None else n_factor)
+    n = _el_n(data)
     t0 = time.perf_counter()
     out = []
     for lam in lam_path:
@@ -210,12 +208,12 @@ def mpele_l1_general(
     data: GlmDataset,
     C: StructuredMatrix,
     lam: float,
-    n_factor=None,
     theta_init=None,
     max_sweeps: int = 10000,
     tol: float = 1e-8,
 ) -> FitResult:
-    """Coordinate descent for max s'theta - n theta'C theta/2 - lam ||theta||_1.
+    """Coordinate descent for max s'theta - n theta'C theta/2 - lam ||theta||_1,
+    with n = N_s for Poisson data and N for Gaussian data.
 
     Runs on the densified quadratic (the CD kernel wants dense rows), finished
     by a solve on the support; raises with the residual if the KKT violation
@@ -223,7 +221,7 @@ def mpele_l1_general(
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    n = float(data.N if n_factor is None else n_factor)
+    n = _el_n(data)
     t0 = time.perf_counter()
     A = n * C.to_dense()
     init = np.zeros(data.p) if theta_init is None else np.asarray(theta_init, dtype=float)
@@ -248,12 +246,12 @@ def mpele_l1_general(
     )
 
 
-def mpele_l1_path(data, C, lam_path, n_factor=None, **kw):
+def mpele_l1_path(data, C, lam_path, **kw):
     """Warm-started general-C path: each solution seeds the next lambda."""
     lam_path = _check_path(lam_path)
     out, theta = [], None
     for lam in lam_path:
-        fr = mpele_l1_general(data, C, float(lam), n_factor=n_factor, theta_init=theta, **kw)
+        fr = mpele_l1_general(data, C, float(lam), theta_init=theta, **kw)
         theta = fr.params.theta
         out.append(fr)
     return out
@@ -280,18 +278,17 @@ def _el_recipe(data: GlmDataset, C, R, fit_offset: bool, init):
     """The EL side of an exact MAP: (start, g -> M^{-1} g), or None without C
     or for a family with no closed-form EL estimate.
 
-    The start is ``init`` or the EL estimate (MPELE for Poisson data, MELE for
-    Gaussian data); M is the EL Hessian blockdiag(n, n C + R) with n = N_s
-    (Poisson) or N (Gaussian), its offset block present only when the offset
-    is fitted and its theta block applied through a structured solve.
+    The start is ``init`` or :func:`mele`; M is the EL Hessian
+    blockdiag(s_f n, s_f n C + R) with the family's scale s_f and n from
+    ``_el_n`` (at least 1, so a Poisson ``init`` with no events still gets a
+    preconditioner), its offset block present only when the offset is fitted
+    and its theta block applied through a structured solve.
     """
     if C is None:
         return None
-    if isinstance(data.family, Poisson):
-        estimate, n = mpele_lnp, max(float(data.N_s), 1.0)
-    elif isinstance(data.family, Gaussian):
-        estimate, n = mele_gaussian, float(data.N)
-    else:
+    try:
+        n = data.family.scale * max(_el_n(data), 1.0)
+    except ValueError:
         return None
     block = _system(C, n, R)
 
@@ -303,7 +300,7 @@ def _el_recipe(data: GlmDataset, C, R, fit_offset: bool, init):
         out[1:] = block.solve_shifted(0.0, g[1:])
         return out
 
-    return (estimate(data, C, R=R).params if init is None else init), apply_pre
+    return (mele(data, C, R=R).params if init is None else init), apply_pre
 
 
 def _pcg(action, b, apply_pre, rtol, max_iter):
@@ -354,9 +351,9 @@ def fit_exact(
 
     - with the stimulus covariance ``C`` and Poisson or Gaussian data,
       truncated Newton (solver ``fit_exact_newton_cg``) starts from ``init``
-      or the MPELE (MELE for Gaussian data) and solves each step by CG on
-      O(Np) Hessian actions, preconditioned by the EL Hessian
-      blockdiag(n, n C + R) with n = N_s (Poisson) or N (Gaussian), to the
+      or :func:`mele` and solves each step by CG on O(Np) Hessian actions,
+      preconditioned by the EL Hessian blockdiag(s_f n, s_f n C + R) with
+      the family's scale s_f and n = N_s (Poisson) or N (Gaussian), to the
       forcing term 0.1 min(0.5, sqrt(||g||)) (Eisenstat & Walker 1996);
     - otherwise Newton (solver ``fit_exact_newton``) solves with the dense
       O(N p^2) Hessian on every step, starting from ``init`` or zero.
@@ -490,7 +487,7 @@ def fit_exact_l1(
                 _, g = smooth.value_grad(x)
         trace.append(v_new)
         g_theta = g[1:] if fit_offset else g
-        kkt = _l1_kkt(g_theta, x[1:] if fit_offset else x, lam_theta)
+        kkt = _kkt_residual(g_theta, x[1:] if fit_offset else x, lam_theta)
         if fit_offset:
             kkt = max(kkt, abs(g[0]))
         if kkt <= tol:

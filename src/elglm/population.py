@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .families import Poisson
 from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
-from .estimators import fit_exact, fit_exact_l1, mpele_lnp
+from .estimators import fit_exact, fit_exact_l1, mele
 from .structured import StructuredMatrix
 
 __all__ = [
@@ -260,7 +260,7 @@ def stagewise_population_fit(
         if pcg_budget > 0:
             stage1.append(fit_exact(d1, C=C, max_iter=pcg_budget, fit_offset=True))
         else:
-            stage1.append(mpele_lnp(d1, C))
+            stage1.append(mele(d1, C))
 
     stage2 = []
     for i in range(M):

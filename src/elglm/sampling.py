@@ -27,7 +27,7 @@ import pathlib
 import numpy as np
 import scipy.linalg
 
-from .estimators import mpele_lnp
+from .estimators import mele
 from .families import Poisson
 from .structured import StructuredMatrix
 
@@ -242,7 +242,7 @@ def lnp_el_profile_gaussian(data, C: StructuredMatrix):
     """
     if not isinstance(data.family, Poisson):
         raise ValueError("the profile Gaussian applies to the Poisson (LNP) family")
-    fit = mpele_lnp(data, C)
+    fit = mele(data, C)
     prec = C.scaled(data.N_s)
     cov = np.linalg.inv(prec.to_dense())
     return fit.params.theta, prec, np.sqrt(np.diag(cov))

@@ -19,10 +19,9 @@ from elglm.el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_log
 from elglm.estimators import (
     fit_exact,
     fit_exact_l1,
-    mele_gaussian,
+    mele,
     mpele_l1_general,
     mpele_l1_path_diagonal,
-    mpele_lnp,
 )
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, simulate_responses
@@ -134,8 +133,8 @@ def _numeric_el_max(obj, R, dim, theta_slice):
 
 
 def test_criterion_04_closed_forms_match_numeric_el_maximization():
-    """mele_gaussian and mpele_lnp agree with a numeric maximizer of the
-    (penalized) EL to 1e-7 in the infinity norm on 100 random instances."""
+    """mele agrees with a numeric maximizer of the (penalized) EL, on Gaussian
+    and on Poisson data, to 1e-7 in the infinity norm on 100 random instances."""
     rng = np.random.default_rng(0)
     worst = 0.0
     for k in range(50):
@@ -148,12 +147,12 @@ def test_criterion_04_closed_forms_match_numeric_el_maximization():
         r = X @ rng.standard_normal(p) * 0.3 + rng.standard_normal(N)
         data = GlmDataset(X, r, Gaussian())
         x_num = _numeric_el_max(ELObjective(AnalyticQuadratic(C), data), R, p, np.arange(p))
-        worst = max(worst, np.max(np.abs(x_num - mele_gaussian(data, C, R=R).params.theta)))
+        worst = max(worst, np.max(np.abs(x_num - mele(data, C, R=R).params.theta)))
 
         data2 = GlmDataset(X, rng.poisson(0.6, N), Poisson())
         obj = ELObjective(AnalyticExponential(C), data2, fit_offset=True)
         x_num2 = _numeric_el_max(obj, R, p + 1, np.arange(1, p + 1))
-        fit = mpele_lnp(data2, C, R=R)
+        fit = mele(data2, C, R=R)
         joint = np.concatenate(([fit.params.theta0], fit.params.theta))
         worst = max(worst, np.max(np.abs(x_num2 - joint)))
     assert worst <= 1e-7, worst
@@ -194,7 +193,7 @@ def test_criterion_05_l1_subgradient_conditions_and_brute_force():
     s = data.s
     lam_path = np.geomspace(0.99 * np.max(np.abs(s)), 0.02 * np.max(np.abs(s)), 10)
     c = np.diag(C.to_dense())
-    for lam, fit in zip(lam_path, mpele_l1_path_diagonal(data, C, lam_path, n_factor=n)):
+    for lam, fit in zip(lam_path, mpele_l1_path_diagonal(data, C, lam_path)):
         theta = fit.params.theta
         active = theta != 0.0
         resid = s - n * c * theta
@@ -210,7 +209,7 @@ def test_criterion_05_l1_subgradient_conditions_and_brute_force():
         data = GlmDataset(X, rng.poisson(0.8, N), Poisson())
         n = float(data.N_s)
         lam = 0.25 * np.max(np.abs(data.s))
-        got = mpele_l1_general(data, C, float(lam), n_factor=n).params.theta
+        got = mpele_l1_general(data, C, float(lam)).params.theta
         want = _l1_oracle(n * C.to_dense(), data.s, lam)
         assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -280,7 +279,7 @@ def test_criterion_07_pcg_refinement_reaches_map_quality():
         R = ScaledIdentity(train.p, 1.0)
         map_fit = fit_exact(train, R=R, fit_offset=True)
         assert map_fit.converged
-        init = mpele_lnp(train, C, R=R)
+        init = mele(train, C, R=R)
         refined = fit_exact(train, R=R, init=init.params, C=C, max_iter=3, fit_offset=True)
 
         L_map = exact_loglik(held, map_fit.params).value
@@ -304,7 +303,7 @@ def test_criterion_07_refinement_passes_are_counted(monkeypatch):
         monkeypatch.setattr(ExactObjective, name, counted)
     for kind, train, _, C in _criterion_07_sets():
         R = ScaledIdentity(train.p, 1.0)
-        init = mpele_lnp(train, C, R=R)
+        init = mele(train, C, R=R)
         calls.update(dict.fromkeys(calls, 0))
         fit = fit_exact(train, R=R, init=init.params, C=C, max_iter=3, fit_offset=True)
         assert fit.solver == "fit_exact_newton_cg"
@@ -329,7 +328,7 @@ def test_criterion_08_el_hmc_against_exact_hmc_and_profile():
 
     u_exact = make_potential(ExactObjective(data, fit_offset=True))
     u_el = make_potential(ELObjective(AnalyticExponential(C), data, fit_offset=True))
-    init = mpele_lnp(data, C).params
+    init = mele(data, C).params
     x0 = np.concatenate(([init.theta0], init.theta))
 
     ch_ex = hmc_chain(u_exact, x0, 0.010, 30, 2500, 300, 5, "exact")

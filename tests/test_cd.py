@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elglm._cd import cd_quadratic_l1
+from elglm._cd import _kkt_residual, cd_quadratic_l1
 
 
 def _soft(z, lam):
@@ -82,6 +82,8 @@ def test_kkt_residual_reported():
     on = x != 0
     assert np.max(np.abs(g[on] - lam[on] * np.sign(x[on])), initial=0.0) <= 1e-9
     assert np.all(np.abs(g[~on]) <= lam[~on] + 1e-9)
+    # the shared residual helper, as the estimators call it, reads the same point
+    assert _kkt_residual(g, x, lam) <= 1e-9
 
 
 def test_warm_start_converges_faster():

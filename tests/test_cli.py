@@ -12,7 +12,7 @@ import pytest
 import elglm.cli as cli_mod
 import elglm.selection as selection_mod
 from elglm.cli import ConfigError, _apply_overrides, _validate, main, run_experiment
-from elglm.estimators import fit_exact, mpele_lnp
+from elglm.estimators import fit_exact, mele
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, load_dataset, save_dataset
 from elglm.population import (
@@ -313,7 +313,7 @@ def test_pcg_refine_estimator_matches_the_library_call(tmp_path, capsys):
     assert fit["solver"] == "fit_exact_newton_cg" and 1 <= fit["iterations"] <= 4
     # k = 0 returns the MPELE
     code, fit, _ = _exact_fit(tmp_path, capsys, {**estimator, "k": 0})
-    start = mpele_lnp(data, C, R=ScaledIdentity(5, 1.0)).params
+    start = mele(data, C, R=ScaledIdentity(5, 1.0)).params
     assert code == 0 and fit["iterations"] == 0
     assert fit["theta"] == start.theta.tolist() and fit["theta0"] == start.theta0
 
@@ -334,6 +334,27 @@ def test_pcg_refine_estimator_config_errors_are_exit_2(tmp_path, capsys):
         capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")]
     )
     assert code == 2 and "Gaussian or Poisson" in err
+
+
+def test_el_estimator_kinds_take_their_scale_from_the_family(tmp_path, capsys):
+    """mele and mpele run the same closed form; mpele_l1 at lam=0 lands on it,
+    since it scales by N_s on Poisson data too; Bernoulli data have no closed
+    form, so all three are config errors."""
+    code, fit_mele, _ = _exact_fit(tmp_path, capsys, {"kind": "mele"})
+    assert code == 0 and fit_mele["solver"] == "mele"
+    code, fit_mpele, _ = _exact_fit(tmp_path, capsys, {"kind": "mpele"})
+    assert code == 0 and fit_mpele == fit_mele
+    code, fit_l1, _ = _exact_fit(tmp_path, capsys, {"kind": "mpele_l1", "lam_path": [0.0]})
+    assert code == 0
+    np.testing.assert_allclose(fit_l1["theta"], fit_mele["theta"], rtol=0, atol=1e-8)
+    for kind in ("mele", "mpele", "mpele_l1"):
+        cfg = fit_cfg(p=3)
+        cfg["data"]["simulate"]["family"] = {"family": "bernoulli"}
+        cfg["estimator"] = {"kind": kind}
+        code, _, err = run_cli(
+            capsys, ["fit", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")]
+        )
+        assert code == 2 and "Gaussian or Poisson" in err, kind
 
 
 def test_rerun_is_bitwise_identical(tmp_path, capsys):
@@ -629,7 +650,7 @@ def test_sample_exact_hmc_energies_are_the_float64_potential(tmp_path, capsys):
     obj = ExactObjective(load_dataset(stem), fit_offset=True, R=ScaledIdentity(p, 1.0))
     want = np.array([-obj.value(x) for x in chain.samples])
     np.testing.assert_array_equal(chain.energies, want)
-    init = mpele_lnp(obj.data, ScaledIdentity(p, 1.0)).params
+    init = mele(obj.data, ScaledIdentity(p, 1.0)).params
     x0 = np.concatenate(([init.theta0], init.theta))
     u = make_potential(obj)
     lib = hmc_chain(u, x0, 0.02, 8, 30, 5, 3, "exact", force=lambda x: -obj.grad32(x))

@@ -10,16 +10,15 @@ from test_cd import brute_force_l1
 import elglm.estimators as estimators
 import elglm.glm as glm
 from elglm._cd import cd_quadratic_l1
-from elglm.el import AnalyticExponential, el_loglik
+from elglm.el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_loglik
 from elglm.estimators import (
     default_lambda_path,
     fit_exact,
     fit_exact_l1,
-    mele_gaussian,
+    mele,
     mpele_l1_general,
     mpele_l1_path,
     mpele_l1_path_diagonal,
-    mpele_lnp,
 )
 from elglm.families import Bernoulli, Gaussian, Poisson
 from elglm.glm import GlmDataset, GlmParams, exact_loglik
@@ -52,11 +51,11 @@ def test_mele_gaussian_closed_form():
     data = _gauss_data(rng)
     C = Dense(_spd(rng, 5))
     R = Diagonal(np.linspace(0.5, 2.0, 5))
-    fr = mele_gaussian(data, C, R=R)
+    fr = mele(data, C, R=R)
     want = np.linalg.solve(data.N * C.to_dense() + R.to_dense(), data.s)
     assert np.allclose(fr.params.theta, want, rtol=1e-12)
     assert fr.params.theta0 == 0.0
-    assert fr.converged and fr.solver == "mele_gaussian"
+    assert fr.converged and fr.solver == "mele"
 
 
 def test_mele_equals_ols_at_empirical_covariance():
@@ -65,24 +64,40 @@ def test_mele_equals_ols_at_empirical_covariance():
     X = rng.standard_normal((N, p))
     r = rng.standard_normal(N)
     data = GlmDataset(X=X, r=r, family=Gaussian())
-    fr = mele_gaussian(data, Dense(X.T @ X / N))
+    fr = mele(data, Dense(X.T @ X / N))
     ols = np.linalg.lstsq(X, r, rcond=None)[0]
     assert np.allclose(fr.params.theta, ols, rtol=1e-10)
 
 
-def test_mpele_lnp_closed_form_and_stationarity():
+@pytest.mark.parametrize("family", ["poisson", "gaussian"])
+def test_mpele_lnp_closed_form_and_stationarity(family):
+    """mele solves (s_f n C + R) theta = s_f X'r with n = N_s (Poisson, dt=0.5)
+    or N (Gaussian, sigma2=2.5), and is a stationary point of the ridge-
+    penalized EL under the family's analytic engine."""
     rng = np.random.default_rng(2)
-    data = _pois_data(rng)
+    if family == "poisson":
+        data = _pois_data(rng)
+        n, engine, fit_offset = data.N_s, AnalyticExponential, True
+    else:
+        data = _gauss_data(rng, N=300, p=4, sigma2=2.5)
+        n, engine, fit_offset = data.N, AnalyticQuadratic, False
     C = Dense(_spd(rng, 4))
-    fr = mpele_lnp(data, C)
-    want = np.linalg.solve(data.N_s * C.to_dense(), data.s)
+    R = ScaledIdentity(4, 3.0)
+    fr = mele(data, C, R=R)
+    sf = data.family.scale
+    want = np.linalg.solve(sf * n * C.to_dense() + R.to_dense(), sf * data.s)
     assert np.allclose(fr.params.theta, want, rtol=1e-10)
-    quad = fr.params.theta @ C.to_dense() @ fr.params.theta
-    th0 = np.log(data.N_s / (data.N * 0.5)) - 0.5 * quad
-    assert fr.params.theta0 == pytest.approx(th0, rel=1e-12)
-    # the pair is a stationary point of the EL under the matching engine
-    g = el_loglik(AnalyticExponential(C), data, fr.params).grad
-    assert np.max(np.abs(g)) < 1e-8 * max(1.0, data.N_s)
+    if family == "poisson":
+        quad = fr.params.theta @ C.to_dense() @ fr.params.theta
+        th0 = np.log(data.N_s / (data.N * 0.5)) - 0.5 * quad
+        assert fr.params.theta0 == pytest.approx(th0, rel=1e-12)
+    else:
+        assert fr.params.theta0 == 0.0
+    # a stationary point of the penalized EL under the matching engine (the
+    # Poisson offset fitted too)
+    obj = ELObjective(engine(C), data, fit_offset=fit_offset, R=R)
+    g = obj.grad(obj.vector(fr.params))
+    assert np.max(np.abs(g)) < 1e-8 * max(1.0, n)
 
 
 def test_mpele_lnp_ridge():
@@ -90,21 +105,22 @@ def test_mpele_lnp_ridge():
     data = _pois_data(rng)
     C = Dense(_spd(rng, 4))
     R = ScaledIdentity(4, 3.0)
-    fr = mpele_lnp(data, C, R=R)
+    fr = mele(data, C, R=R)
     want = np.linalg.solve(data.N_s * C.to_dense() + 3.0 * np.eye(4), data.s)
     assert np.allclose(fr.params.theta, want, rtol=1e-10)
 
 
 def test_mpele_lnp_rejects():
     rng = np.random.default_rng(4)
-    gdata = _gauss_data(rng)
+    X = rng.standard_normal((40, 5))
+    bdata = GlmDataset(X=X, r=(rng.random(40) < 0.5).astype(float), family=Bernoulli())
     C = ScaledIdentity(5, 1.0)
     with pytest.raises(ValueError, match="Poisson"):
-        mpele_lnp(gdata, C)
+        mele(bdata, C)
     X = rng.standard_normal((10, 3))
     empty = GlmDataset(X=X, r=np.zeros(10), family=Poisson(dt=1.0))
     with pytest.raises(ValueError, match="N_s"):
-        mpele_lnp(empty, ScaledIdentity(3, 1.0))
+        mele(empty, ScaledIdentity(3, 1.0))
 
 
 # --- L1 paths ---------------------------------------------------------------
@@ -164,19 +180,10 @@ def test_l1_path_warm_equals_cold():
     data = _pois_data(rng, N=200, p=5)
     C = Dense(_spd(rng, 5))
     lam_path = np.geomspace(np.max(np.abs(data.s)), 0.05 * np.max(np.abs(data.s)), 6)
-    warm = mpele_l1_path(data, C, lam_path, n_factor=data.N_s)
+    warm = mpele_l1_path(data, C, lam_path)
     for fr, lam in zip(warm, lam_path):
-        cold = mpele_l1_general(data, C, float(lam), n_factor=data.N_s)
+        cold = mpele_l1_general(data, C, float(lam))
         assert np.allclose(fr.params.theta, cold.params.theta, atol=1e-7)
-
-
-def test_n_factor_changes_scale():
-    rng = np.random.default_rng(10)
-    data = _pois_data(rng)
-    C = Diagonal(np.ones(4))
-    a = mpele_l1_path_diagonal(data, C, [0.1], n_factor=data.N_s)[0]
-    b = mpele_l1_path_diagonal(data, C, [0.1])[0]
-    assert np.allclose(a.params.theta * data.N_s, b.params.theta * data.N)
 
 
 # --- L1 model solve: cyclic sweeps finished on the support ----------------------
@@ -542,7 +549,7 @@ def test_pcg_trace_monotone_and_improves():
     rng = np.random.default_rng(22)
     data = _pois_data(rng, N=400, p=5)
     C = Dense(data.X.T @ data.X / data.N)
-    start = mpele_lnp(data, C)
+    start = mele(data, C)
     fr = fit_exact(data, C=C, init=start.params, max_iter=2, theta0=start.params.theta0)
     trace = np.array(fr.objective_trace)
     assert len(trace) == fr.iterations + 1 <= 3
@@ -561,6 +568,20 @@ def test_pcg_perfect_preconditioner_gaussian():
     want = np.linalg.lstsq(data.X, data.r, rcond=None)[0]
     assert np.allclose(fr.params.theta, want, atol=1e-8)
     assert fr.converged
+
+
+def test_pcg_preconditioner_carries_the_family_scale():
+    """With C = X'X/N, the EL Hessian blockdiag(s_f N, s_f N C + R) is the
+    exact one at sigma2 != 1 too, so one Newton step of one Hessian action
+    from zero reaches the ridge MAP."""
+    rng = np.random.default_rng(25)
+    data = _gauss_data(rng, N=50, p=4, sigma2=2.5)
+    C = Dense(data.X.T @ data.X / data.N)
+    R = Diagonal(np.linspace(1.0, 20.0, 4))
+    fr = fit_exact(data, R=R, C=C, init=GlmParams(theta=np.zeros(4)), tol=1e-12)
+    want = np.linalg.solve(data.X.T @ data.X / 2.5 + R.to_dense(), data.s / 2.5)
+    assert np.allclose(fr.params.theta, want, atol=1e-10)
+    assert fr.converged and fr.iterations == 1 and fr.diagnostics["hess_actions"] == 1
 
 
 def test_pcg_guards():

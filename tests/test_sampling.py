@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from elglm.el import AnalyticExponential, AnalyticQuadratic, ELObjective
-from elglm.estimators import mpele_lnp
+from elglm.estimators import mele
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, simulate_responses
 from elglm.sampling import (
@@ -262,7 +262,7 @@ def _criterion_08_data():
     X = rng.standard_normal((N, p))
     params = GlmParams(theta0=float(np.log(0.5) - 0.5), theta=theta)
     data = GlmDataset(X, simulate_responses(Poisson(), X, params, 77), Poisson())
-    init = mpele_lnp(data, ScaledIdentity(p, 1.0)).params
+    init = mele(data, ScaledIdentity(p, 1.0)).params
     return data, np.concatenate(([init.theta0], init.theta))
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from elglm.estimators import fit_exact, mpele_lnp
+from elglm.estimators import fit_exact, mele
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
 from elglm.selection import (
@@ -132,7 +132,7 @@ def test_laplace_el_profile_dense_oracle():
     data = _pois_data(rng)
     C = Dense(_spd(rng, 4))
     R = ScaledIdentity(4, 1.5)
-    fit = mpele_lnp(data, C, R=R)
+    fit = mele(data, C, R=R)
     ev = laplace_evidence(data, R, fit.params, mode="el", C=C)
     A = data.N_s * C.to_dense() + R.to_dense()
     th = fit.params.theta
@@ -153,7 +153,7 @@ def test_laplace_el_matches_scalar_closed_form():
     C = ScaledIdentity(4, 1.0)
     for beta in (0.5, 3.0, 20.0):
         R = ScaledIdentity(4, beta)
-        fit = mpele_lnp(data, C, R=R)
+        fit = mele(data, C, R=R)
         ev = laplace_evidence(data, R, fit.params, mode="el", C=C)
         want = el_logF_scalar(beta, float(data.s @ data.s), data.N_s, data.p)
         assert ev.value == pytest.approx(float(want), rel=1e-12)
