@@ -1,10 +1,10 @@
 """Expected log-likelihood (EL) toolkit for canonical GLMs.
 
-Fast estimators (MELE / MPELE, L1 paths, a MAP refined from them by truncated
-Newton), approximate marginal likelihood for ridge selection, posterior
-sampling, risk theory, and simulators, all built around the sufficient
-statistics (X'r, sum r) and the stimulus covariance so that likelihood
-evaluations cost O(p), not O(Np).
+Fast estimators (MELE / MPELE and its L1 path, a MAP refined from them by
+truncated Newton), approximate marginal likelihood for ridge selection,
+posterior sampling, risk theory, and simulators, all built around the
+sufficient statistics (X'r, sum r) and the stimulus covariance so that
+likelihood evaluations cost O(p), not O(Np).
 """
 
 __version__ = "0.1.0"
@@ -47,9 +47,7 @@ from .estimators import (
     fit_exact,
     fit_exact_l1,
     mele,
-    mpele_l1_general,
-    mpele_l1_path,
-    mpele_l1_path_diagonal,
+    mele_l1_path,
 )
 from .selection import (
     el_logF_scalar,
@@ -66,7 +64,6 @@ from .sampling import (
     laplace_gaussian_chain,
     lnp_el_profile_gaussian,
     make_potential,
-    surrogate_hmc_chain,
 )
 from .risk import (
     crossover_rho,

@@ -31,7 +31,7 @@ from .estimators import (
     fit_exact,
     fit_exact_l1,
     mele,
-    mpele_l1_path,
+    mele_l1_path,
 )
 from .families import FAMILIES, Gaussian, Poisson, family_from_config
 from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, load_dataset, save_dataset, simulate_responses
@@ -52,7 +52,6 @@ from .sampling import (
     laplace_gaussian_chain,
     make_potential,
     save_chain,
-    surrogate_hmc_chain,
     write_summary_csv,
 )
 from .selection import gaussian_evidence, laplace_evidence, rhat_analytic, rhat_fixed_point
@@ -167,6 +166,33 @@ _DATA = {
     "type": "object",
     "properties": {"stem": {"type": "string"}, "simulate": _SIM_GLM},
 }
+# the keys each fit estimator kind reads besides "kind"; any other key is a
+# config error, so a key that a kind would ignore never looks applied
+_FIT_OFFSET = {"type": "boolean"}
+_ESTIMATOR_FIELDS = {
+    "mele": {"R": _STRUCTURED},
+    "mpele": {"R": _STRUCTURED},
+    "mpele_l1": {"R": _STRUCTURED, "lam_path": {"type": "array", "items": {"type": "number"}}},
+    "exact": {"R": _STRUCTURED, "fit_offset": _FIT_OFFSET},
+    "exact_l1": {
+        "R": _STRUCTURED, "lam": {"type": "number", "minimum": 0}, "fit_offset": _FIT_OFFSET
+    },
+    "pcg_refine": {
+        "R": _STRUCTURED, "k": {"type": "integer", "minimum": 0}, "fit_offset": _FIT_OFFSET
+    },
+}
+_ESTIMATOR = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": list(_ESTIMATOR_FIELDS)}},
+    "allOf": [
+        {
+            "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": {"properties": {"kind": True, **fields}, "additionalProperties": False},
+        }
+        for kind, fields in _ESTIMATOR_FIELDS.items()
+    ],
+}
 
 SCHEMAS = {
     "fit": {
@@ -177,21 +203,7 @@ SCHEMAS = {
             "experiment": {"type": "string"},
             "data": _DATA,
             "C": _STRUCTURED,
-            "estimator": {
-                "type": "object",
-                "required": ["kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "kind": {
-                        "enum": ["mele", "mpele", "mpele_l1", "exact", "exact_l1", "pcg_refine"]
-                    },
-                    "R": _STRUCTURED,
-                    "lam": {"type": "number", "minimum": 0},
-                    "lam_path": {"type": "array", "items": {"type": "number"}},
-                    "k": {"type": "integer", "minimum": 0},
-                    "fit_offset": {"type": "boolean"},
-                },
-            },
+            "estimator": _ESTIMATOR,
         },
     },
     "select": {
@@ -394,9 +406,9 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     outputs = []
     if kind == "mpele_l1":
         lam_path = np.asarray(est.get("lam_path", default_lambda_path(data)), dtype=float)
-        fits = mpele_l1_path(data, C, lam_path)
+        fits = mele_l1_path(data, C, lam_path, R=R)
         rows = [
-            (lam, int(np.count_nonzero(f.params.theta)), f.diagnostics.get("kkt", 0.0))
+            (lam, int(np.count_nonzero(f.params.theta)), f.diagnostics["kkt"])
             for lam, f in zip(lam_path, fits)
         ]
         _write_csv(outdir / "path.csv", ["lam", "nnz", "kkt"], rows)
@@ -541,7 +553,10 @@ def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
         elif target == "el":
             chain = hmc_chain(u_el, x0, step, n_leapfrog, draws, burn_in, seed, "el")
         else:
-            chain = surrogate_hmc_chain(u_el, u_exact, x0, step, n_leapfrog, draws, burn_in, seed)
+            # EL-gradient force, exact Metropolis test
+            chain = hmc_chain(
+                u_exact, x0, step, n_leapfrog, draws, burn_in, seed, "surrogate", force=u_el.grad
+            )
     save_chain(outdir / "chain", chain)
     write_summary_csv(outdir / "summary.csv", chain_summary(chain))
     return ["chain.bin", "chain.json", "summary.csv"]

@@ -1,9 +1,11 @@
-"""Point estimators: the closed-form EL estimate, L1 paths and exact optimizers.
+"""Point estimators: the closed-form EL estimate, its L1 path and exact optimizers.
 
 The closed forms solve (n C + R) theta = X'r, up to the family's scale, at
 structured-solve cost (no data pass beyond the cached X'r). Only n depends on
 the family, and ``_el_n`` decides it once: N_s for Poisson data (the MPELE,
-with the offset profiled out) and N for Gaussian data (the MELE). The
+with the offset profiled out) and N for Gaussian data (the MELE).
+``_el_system`` builds that system once for :func:`mele` and for its L1 path
+:func:`mele_l1_path`, which adds lambda ||theta||_1 to the same quadratic. The
 exact-likelihood optimizers serve as oracles and as the refinement stage: a
 few truncated-Newton steps from :func:`mele`, preconditioned by the EL
 Hessian, turn it into a MAP-accuracy estimate (``fit_exact`` with ``C`` and a
@@ -28,9 +30,7 @@ __all__ = [
     "FitResult",
     "mele",
     "default_lambda_path",
-    "mpele_l1_path_diagonal",
-    "mpele_l1_general",
-    "mpele_l1_path",
+    "mele_l1_path",
     "fit_exact",
     "fit_exact_l1",
 ]
@@ -39,6 +39,9 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 # cyclic CD sweeps run before each attempt to finish an L1 model on its support
 SUPPORT_SWEEPS = 3
+# KKT target and sweep budget of each lambda on mele_l1_path
+L1_TOL = 1e-8
+L1_MAX_SWEEPS = 10000
 
 
 @dataclasses.dataclass
@@ -70,33 +73,44 @@ def _el_n(data: GlmDataset) -> float:
     )
 
 
+def _el_system(data: GlmDataset, C: StructuredMatrix, R):
+    """The EL's closed-form system (M, b) = (s_f n C + R, s_f X'r), with s_f
+    the family's ``scale`` (1/sigma^2 for Gaussian data, 1 for Poisson data)
+    and n from ``_el_n``; raises when Poisson data hold no events."""
+    n = _el_n(data)
+    if n <= 0:
+        raise ValueError("no events: N_s = 0, the spike-triggered average is undefined")
+    scale = data.family.scale
+    return _system(C, scale * n, R), scale * data.s
+
+
+def _el_params(data: GlmDataset, C: StructuredMatrix, theta) -> GlmParams:
+    """theta with the EL's offset: for Poisson data the profile-optimal
+    theta0* = log(N_s / (N dt)) - theta' C theta / 2, else 0."""
+    theta0 = 0.0
+    if isinstance(data.family, Poisson):
+        quad = float(theta @ C.matvec(theta))
+        theta0 = float(np.log(data.N_s / (data.N * data.family.dt)) - 0.5 * quad)
+    return GlmParams(theta=theta, theta0=theta0)
+
+
 def mele(data: GlmDataset, C: StructuredMatrix, R=None) -> FitResult:
     """Closed-form maximizer of the (ridge-penalized) EL under the family's
-    analytic engine: solve (s_f n C + R) theta = s_f X'r, with s_f the
-    family's ``scale`` (1/sigma^2 for Gaussian data, 1 for Poisson data) and
-    n from the family (N_s or N).
+    analytic engine: solve M theta = b with (M, b) = (s_f n C + R, s_f X'r),
+    s_f the family's ``scale`` and n from the family (N_s or N).
 
     For Poisson data this is the MPELE, the (regularized) spike-triggered
     average, with the profile-optimal offset
     theta0* = log(N_s / (N dt)) - theta' C theta / 2; Gaussian data keep
     theta0 = 0. The reported objective is the defining quadratic
-    s_f s'theta - theta'(s_f n C + R)theta/2 (the EL up to theta-constants).
+    b'theta - theta' M theta/2 (the EL up to theta-constants).
     """
     t0 = time.perf_counter()
-    n = _el_n(data)
-    if n <= 0:
-        raise ValueError("no events: N_s = 0, the spike-triggered average is undefined")
-    scale = data.family.scale
-    M = _system(C, scale * n, R)
-    b = scale * data.s
+    M, b = _el_system(data, C, R)
     theta = M.solve_shifted(0.0, b)
-    theta0 = 0.0
-    if isinstance(data.family, Poisson):
-        quad = float(theta @ C.matvec(theta))
-        theta0 = float(np.log(data.N_s / (data.N * data.family.dt)) - 0.5 * quad)
     obj = float(b @ theta) - 0.5 * float(theta @ M.matvec(theta))
     return FitResult(
-        params=GlmParams(theta=theta, theta0=theta0),
+        params=_el_params(data, C, theta),
         objective_trace=[obj],
         iterations=0,
         wall_time=time.perf_counter() - t0,
@@ -106,8 +120,10 @@ def mele(data: GlmDataset, C: StructuredMatrix, R=None) -> FitResult:
 
 
 def default_lambda_path(data: GlmDataset, n: int = 100) -> np.ndarray:
-    """100 log-spaced values from lam_max = ||X'r||_inf down to 1e-4 lam_max."""
-    lam_max = float(np.max(np.abs(data.s)))
+    """100 log-spaced values from lam_max = ||s_f X'r||_inf, the smallest
+    lambda at which :func:`mele_l1_path` returns theta = 0, down to
+    1e-4 lam_max."""
+    lam_max = float(np.max(np.abs(data.family.scale * data.s)))
     if lam_max <= 0:
         return np.zeros(1)
     return np.geomspace(lam_max, 1e-4 * lam_max, n)
@@ -167,93 +183,47 @@ def _solve_l1_model(A, s, lam, x0, tol, max_sweeps):
     return x, sweeps, kkt
 
 
-def mpele_l1_path_diagonal(data: GlmDataset, C: StructuredMatrix, lam_path):
-    """Exact soft-threshold path for diagonal C, O(Np + p |path|) total.
+def mele_l1_path(data: GlmDataset, C: StructuredMatrix, lam_path, R=None) -> list:
+    """L1 path of :func:`mele`'s quadratic: for each lambda of the strictly
+    decreasing ``lam_path``, maximize b'theta - theta' M theta/2
+    - lambda ||theta||_1 with (M, b) = (s_f n C + R, s_f X'r).
 
-    theta_j = 0 when |(X'r)_j| <= lam (ties resolve to 0), else
-    ((X'r)_j - lam sign) / (n C_jj), with n = N_s for Poisson data (the LNP
-    profile EL) and N for Gaussian data.
+    M is densified once (the CD kernel wants dense rows). Each lambda starts
+    from the previous solution (glmnet's warm-started path), runs CD sweeps
+    finished by a solve on the support, and raises ``RuntimeError`` with the
+    residual if the KKT violation is still above ``L1_TOL`` after
+    ``L1_MAX_SWEEPS`` sweeps; a diagonal M needs one sweep. Each fit carries
+    :func:`mele`'s offset, and lambda = 0 lands on ``mele(data, C, R=R)``.
     """
     lam_path = _check_path(lam_path)
-    dense = C.to_dense()
-    diag = np.diag(dense).copy()
-    if np.any(dense != np.diag(diag)):
-        raise ValueError("C must be diagonal")
-    if np.any(diag <= 0):
-        raise ValueError("C must have strictly positive diagonal")
-    n = _el_n(data)
-    t0 = time.perf_counter()
+    M, b = _el_system(data, C, R)
+    A = M.to_dense()
+    theta = np.zeros(data.p)
     out = []
     for lam in lam_path:
-        shrunk = np.sign(data.s) * np.maximum(np.abs(data.s) - lam, 0.0)
-        theta = shrunk / (n * diag)
-        obj = float(data.s @ theta) - 0.5 * n * float(theta @ (diag * theta))
-        obj -= lam * float(np.sum(np.abs(theta)))
+        t0 = time.perf_counter()
+        theta, sweeps, kkt = _solve_l1_model(
+            A, b, np.full(data.p, lam), theta, L1_TOL, L1_MAX_SWEEPS
+        )
+        if kkt > L1_TOL:
+            raise RuntimeError(
+                f"coordinate descent did not converge in {L1_MAX_SWEEPS} sweeps "
+                f"(kkt residual {kkt:.3e})"
+            )
+        obj = float(b @ theta) - 0.5 * float(theta @ (A @ theta)) - lam * float(
+            np.sum(np.abs(theta))
+        )
         out.append(
             FitResult(
-                params=GlmParams(theta=theta),
+                params=_el_params(data, C, theta),
                 objective_trace=[obj],
-                iterations=0,
+                iterations=sweeps,
                 wall_time=time.perf_counter() - t0,
                 converged=True,
-                solver="mpele_l1_diagonal",
-                diagnostics={"lam": float(lam), "kkt": 0.0},
+                solver="mele_l1",
+                diagnostics={"lam": float(lam), "kkt": kkt},
             )
         )
-        t0 = time.perf_counter()
-    return out
-
-
-def mpele_l1_general(
-    data: GlmDataset,
-    C: StructuredMatrix,
-    lam: float,
-    theta_init=None,
-    max_sweeps: int = 10000,
-    tol: float = 1e-8,
-) -> FitResult:
-    """Coordinate descent for max s'theta - n theta'C theta/2 - lam ||theta||_1,
-    with n = N_s for Poisson data and N for Gaussian data.
-
-    Runs on the densified quadratic (the CD kernel wants dense rows), finished
-    by a solve on the support; raises with the residual if the KKT violation
-    is still above tol after max_sweeps.
-    """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    n = _el_n(data)
-    t0 = time.perf_counter()
-    A = n * C.to_dense()
-    init = np.zeros(data.p) if theta_init is None else np.asarray(theta_init, dtype=float)
-    theta, sweeps, kkt = _solve_l1_model(
-        A, data.s, np.full(data.p, float(lam)), init, tol, max_sweeps
-    )
-    if kkt > tol:
-        raise RuntimeError(
-            f"coordinate descent did not converge in {max_sweeps} sweeps (kkt residual {kkt:.3e})"
-        )
-    obj = float(data.s @ theta) - 0.5 * float(theta @ (A @ theta)) - lam * float(
-        np.sum(np.abs(theta))
-    )
-    return FitResult(
-        params=GlmParams(theta=theta),
-        objective_trace=[obj],
-        iterations=sweeps,
-        wall_time=time.perf_counter() - t0,
-        converged=True,
-        solver="mpele_l1_cd",
-        diagnostics={"lam": float(lam), "kkt": kkt},
-    )
-
-
-def mpele_l1_path(data, C, lam_path, **kw):
-    """Warm-started general-C path: each solution seeds the next lambda."""
-    lam_path = _check_path(lam_path)
-    out, theta = [], None
-    for lam in lam_path:
-        fr = mpele_l1_general(data, C, float(lam), theta_init=theta, **kw)
-        theta = fr.params.theta
-        out.append(fr)
     return out
 
 

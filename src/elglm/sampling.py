@@ -5,7 +5,8 @@ its energies, with its potential U in float64, and moves along leapfrog
 trajectories driven by a force x -> gradU(x). By default the force is U's own
 gradient; a chain may take it from another callable instead:
 
-- the surrogate chain uses the EL gradient, so its trajectories cost O(p)
+- the surrogate chain (target ``"surrogate"``) uses the EL gradient,
+  ``force=make_potential(el_objective).grad``, so its trajectories cost O(p)
   per step;
 - the CLI's exact chain uses the exact gradient computed in single precision
   (``ExactObjective.grad32``), which reads half the bytes per step.
@@ -34,7 +35,6 @@ from .structured import StructuredMatrix
 __all__ = [
     "Chain",
     "hmc_chain",
-    "surrogate_hmc_chain",
     "laplace_gaussian_chain",
     "chain_summary",
     "make_potential",
@@ -140,8 +140,9 @@ def hmc_chain(
     """Standard HMC. neg_log_posterior(x) -> (value, gradient).
 
     ``force(x)``, if given, replaces the potential's gradient in the leapfrog
-    steps (for example ``lambda x: -objective.grad32(x)``); the Metropolis
-    test keeps the potential's value, so the chain still targets it.
+    steps (for example ``lambda x: -objective.grad32(x)``, or the EL
+    potential's ``.grad`` for the surrogate chain); the Metropolis test keeps
+    the potential's value, so the chain still targets it.
     """
     return _run_chain(
         _value_of(neg_log_posterior),
@@ -153,33 +154,6 @@ def hmc_chain(
         burn_in,
         seed,
         target,
-    )
-
-
-def surrogate_hmc_chain(
-    el_posterior,
-    exact_posterior,
-    init,
-    step: float = 0.01,
-    n_leapfrog: int = 20,
-    draws: int = 1000,
-    burn_in: int = None,
-    seed: int = 0,
-) -> Chain:
-    """HMC on the exact posterior with the EL gradient as its force.
-
-    el_posterior(x) -> (value, gradient) shapes the trajectories;
-    exact_posterior(x) -> value (or a (value, gradient) pair) enters the
-    accept ratio. Samples target the exact posterior.
-    """
-    acc = exact_posterior
-    if hasattr(acc, "value"):
-        acc = acc.value
-    elif not np.isscalar(acc(np.asarray(init, dtype=float))):
-        # allow (value, grad) callables on the acceptance side too
-        acc = _value_of(exact_posterior)
-    return _run_chain(
-        acc, _grad_of(el_posterior), init, step, n_leapfrog, draws, burn_in, seed, "surrogate"
     )
 
 

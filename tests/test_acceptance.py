@@ -20,8 +20,7 @@ from elglm.estimators import (
     fit_exact,
     fit_exact_l1,
     mele,
-    mpele_l1_general,
-    mpele_l1_path_diagonal,
+    mele_l1_path,
 )
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, simulate_responses
@@ -34,7 +33,7 @@ from elglm.population import (
     stagewise_population_fit,
 )
 from elglm.risk import RiskSpec, crossover_rho, mc_mse, mse_asymptotic, mse_closed_form
-from elglm.sampling import hmc_chain, lnp_el_profile_gaussian, make_potential, surrogate_hmc_chain
+from elglm.sampling import hmc_chain, lnp_el_profile_gaussian, make_potential
 from elglm.selection import el_logF_scalar, rhat_analytic
 from elglm.simulate import StimulusSpec, ar1_covariance, gen_coupled_population, gen_stimuli
 from elglm.structured import Dense, Diagonal, ScaledIdentity
@@ -193,7 +192,7 @@ def test_criterion_05_l1_subgradient_conditions_and_brute_force():
     s = data.s
     lam_path = np.geomspace(0.99 * np.max(np.abs(s)), 0.02 * np.max(np.abs(s)), 10)
     c = np.diag(C.to_dense())
-    for lam, fit in zip(lam_path, mpele_l1_path_diagonal(data, C, lam_path)):
+    for lam, fit in zip(lam_path, mele_l1_path(data, C, lam_path)):
         theta = fit.params.theta
         active = theta != 0.0
         resid = s - n * c * theta
@@ -209,7 +208,7 @@ def test_criterion_05_l1_subgradient_conditions_and_brute_force():
         data = GlmDataset(X, rng.poisson(0.8, N), Poisson())
         n = float(data.N_s)
         lam = 0.25 * np.max(np.abs(data.s))
-        got = mpele_l1_general(data, C, float(lam)).params.theta
+        got = mele_l1_path(data, C, [float(lam)])[0].params.theta
         want = _l1_oracle(n * C.to_dense(), data.s, lam)
         assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -333,7 +332,7 @@ def test_criterion_08_el_hmc_against_exact_hmc_and_profile():
 
     ch_ex = hmc_chain(u_exact, x0, 0.010, 30, 2500, 300, 5, "exact")
     ch_el = hmc_chain(u_el, x0, 0.010, 30, 2500, 300, 6, "el")
-    ch_su = surrogate_hmc_chain(u_el, u_exact, x0, 0.010, 30, 600, 100, 7)
+    ch_su = hmc_chain(u_exact, x0, 0.010, 30, 600, 100, 7, "surrogate", force=u_el.grad)
     assert ch_ex.acceptance_rate > 0.5 and ch_el.acceptance_rate > 0.5
 
     q_ex = np.percentile(ch_ex.samples, [2.5, 97.5], axis=0)
@@ -553,6 +552,5 @@ def test_criterion_11_recorded_data_results_out_of_scope():
     this repository does not ship; the pipelines that produced them run
     end-to-end on simulated data in the three tests above (MAP refinement,
     EL-HMC sampling, staged population fitting)."""
-    for entry_point in (fit_exact, hmc_chain, surrogate_hmc_chain,
-                        stagewise_population_fit, bits_per_second):
+    for entry_point in (fit_exact, hmc_chain, stagewise_population_fit, bits_per_second):
         assert callable(entry_point)

@@ -12,6 +12,7 @@ import pytest
 import elglm.cli as cli_mod
 import elglm.selection as selection_mod
 from elglm.cli import ConfigError, _apply_overrides, _validate, main, run_experiment
+from elglm.el import AnalyticExponential, ELObjective
 from elglm.estimators import fit_exact, mele
 from elglm.families import Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, load_dataset, save_dataset
@@ -299,6 +300,19 @@ def test_exact_estimator_method_errors_are_exit_2(tmp_path, capsys):
     assert code == 0 and fit["solver"] == "fit_exact_newton"
 
 
+@pytest.mark.parametrize(
+    "kind, stray",
+    [("mele", "fit_offset"), ("mpele", "k"), ("mpele_l1", "lam"), ("exact", "lam"),
+     ("exact_l1", "lam_path"), ("pcg_refine", "lam")],
+)
+def test_estimator_kind_rejects_keys_it_does_not_read(tmp_path, capsys, kind, stray):
+    """Each estimator kind takes only the keys it reads: a key that another
+    kind reads is a config error here, not a silently ignored setting."""
+    value = {"fit_offset": True, "k": 2, "lam": 3.0, "lam_path": [1.0]}[stray]
+    code, _, err = _exact_fit(tmp_path, capsys, {"kind": kind, stray: value})
+    assert code == 2 and f"'{stray}' was unexpected" in err
+
+
 def test_pcg_refine_estimator_matches_the_library_call(tmp_path, capsys):
     """The CLI's pcg_refine is fit_exact(data, R=R, C=C, max_iter=k): k
     truncated-Newton steps from the MPELE, with the offset fitted for Poisson
@@ -338,15 +352,24 @@ def test_pcg_refine_estimator_config_errors_are_exit_2(tmp_path, capsys):
 
 def test_el_estimator_kinds_take_their_scale_from_the_family(tmp_path, capsys):
     """mele and mpele run the same closed form; mpele_l1 at lam=0 lands on it,
-    since it scales by N_s on Poisson data too; Bernoulli data have no closed
-    form, so all three are config errors."""
+    profile offset and ridge included, since it is mele's quadratic plus the
+    L1 term; Bernoulli data have no closed form, so all three are config
+    errors."""
     code, fit_mele, _ = _exact_fit(tmp_path, capsys, {"kind": "mele"})
     assert code == 0 and fit_mele["solver"] == "mele"
     code, fit_mpele, _ = _exact_fit(tmp_path, capsys, {"kind": "mpele"})
     assert code == 0 and fit_mpele == fit_mele
-    code, fit_l1, _ = _exact_fit(tmp_path, capsys, {"kind": "mpele_l1", "lam_path": [0.0]})
-    assert code == 0
-    np.testing.assert_allclose(fit_l1["theta"], fit_mele["theta"], rtol=0, atol=1e-8)
+    ridge = {"kind": "scaled_identity", "dim": 5, "scale": 500.0}
+    for extra in ({}, {"R": ridge}):
+        code, fit_el, _ = _exact_fit(tmp_path, capsys, {"kind": "mpele", **extra})
+        assert code == 0
+        code, fit_l1, _ = _exact_fit(
+            tmp_path, capsys, {"kind": "mpele_l1", "lam_path": [0.0], **extra}
+        )
+        assert code == 0 and fit_l1["solver"] == "mele_l1"
+        np.testing.assert_allclose(fit_l1["theta"], fit_el["theta"], rtol=0, atol=1e-8)
+        assert fit_l1["theta0"] == pytest.approx(fit_el["theta0"], abs=1e-8)
+    assert fit_el["theta0"] != 0.0 and fit_el["theta"] != fit_mele["theta"]
     for kind in ("mele", "mpele", "mpele_l1"):
         cfg = fit_cfg(p=3)
         cfg["data"]["simulate"]["family"] = {"family": "bernoulli"}
@@ -621,7 +644,8 @@ def test_sample_exact_hmc_energies_are_the_float64_potential(tmp_path, capsys):
     """The exact chain leapfrogs on the single-precision force (it is the
     library chain driven by ExactObjective.grad32, byte for byte), but its
     manifest's energies are the float64 negative log posterior at the
-    retained draws."""
+    retained draws. The surrogate target is the same library chain with the
+    EL gradient as its force."""
     rng = np.random.default_rng(21)
     N, p = 300, 4
     X = rng.standard_normal((N, p))
@@ -656,6 +680,13 @@ def test_sample_exact_hmc_energies_are_the_float64_potential(tmp_path, capsys):
     lib = hmc_chain(u, x0, 0.02, 8, 30, 5, 3, "exact", force=lambda x: -obj.grad32(x))
     assert chain.samples.tobytes() == lib.samples.tobytes()
     assert chain.samples.tobytes() != hmc_chain(u, x0, 0.02, 8, 30, 5, 3).samples.tobytes()
+    code, out, _ = run_cli(capsys, ["sample", write_cfg(tmp_path, {**cfg, "target": "surrogate"}),
+                                    "--out-root", str(tmp_path / "out")])
+    el = ELObjective(AnalyticExponential(ScaledIdentity(p, 1.0)), obj.data, fit_offset=True,
+                     R=ScaledIdentity(p, 1.0))
+    lib = hmc_chain(u, x0, 0.02, 8, 30, 5, 3, "surrogate", force=make_potential(el).grad)
+    surrogate = load_chain(pathlib.Path(out.strip()) / "chain")
+    assert code == 0 and surrogate.samples.tobytes() == lib.samples.tobytes()
 
 
 def test_risk_csv_matches_closed_forms(tmp_path, capsys):

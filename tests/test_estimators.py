@@ -16,9 +16,7 @@ from elglm.estimators import (
     fit_exact,
     fit_exact_l1,
     mele,
-    mpele_l1_general,
-    mpele_l1_path,
-    mpele_l1_path_diagonal,
+    mele_l1_path,
 )
 from elglm.families import Bernoulli, Gaussian, Poisson
 from elglm.glm import GlmDataset, GlmParams, exact_loglik
@@ -138,41 +136,32 @@ def test_default_lambda_path():
 
 
 def test_diagonal_path_soft_threshold():
+    """A diagonal C needs no path of its own: one CD sweep per lambda lands
+    on the soft threshold."""
     rng = np.random.default_rng(6)
     data = _gauss_data(rng, N=30, p=6)
     diag = np.linspace(0.5, 3.0, 6)
     C = Diagonal(diag)
     lam_path = np.array([4.0, 1.0, 0.1])
-    out = mpele_l1_path_diagonal(data, C, lam_path)
+    out = mele_l1_path(data, C, lam_path)
     for fr, lam in zip(out, lam_path):
         want = np.sign(data.s) * np.maximum(np.abs(data.s) - lam, 0.0) / (data.N * diag)
         assert np.allclose(fr.params.theta, want, rtol=1e-14)
+        assert fr.iterations == 1 and fr.diagnostics["kkt"] <= 1e-8
+        assert fr.solver == "mele_l1"
     # exact tie resolves to zero
     tie = GlmDataset(X=np.eye(3), r=np.array([2.0, 0.0, 0.0]), family=Gaussian())
-    fr = mpele_l1_path_diagonal(tie, Diagonal(np.ones(3)), [2.0])[0]
+    fr = mele_l1_path(tie, Diagonal(np.ones(3)), [2.0])[0]
     assert fr.params.theta[0] == 0.0
 
 
 def test_diagonal_path_rejects_nondiagonal():
     rng = np.random.default_rng(7)
     data = _gauss_data(rng, p=3)
-    with pytest.raises(ValueError, match="diagonal"):
-        mpele_l1_path_diagonal(data, Dense(_spd(rng, 3)), [1.0])
     with pytest.raises(ValueError, match="decreasing"):
-        mpele_l1_path_diagonal(data, Diagonal(np.ones(3)), [1.0, 2.0])
+        mele_l1_path(data, Diagonal(np.ones(3)), [1.0, 2.0])
     with pytest.raises(ValueError, match="nonnegative"):
-        mpele_l1_path_diagonal(data, Diagonal(np.ones(3)), [-1.0])
-
-
-def test_general_cd_matches_diagonal_closed_form():
-    rng = np.random.default_rng(8)
-    data = _gauss_data(rng, p=5)
-    diag = np.linspace(0.4, 2.0, 5)
-    for lam in (3.0, 0.5):
-        a = mpele_l1_general(data, Diagonal(diag), lam)
-        b = mpele_l1_path_diagonal(data, Diagonal(diag), [lam])[0]
-        assert np.allclose(a.params.theta, b.params.theta, atol=1e-9)
-        assert a.diagnostics["kkt"] <= 1e-8
+        mele_l1_path(data, Diagonal(np.ones(3)), [-1.0])
 
 
 def test_l1_path_warm_equals_cold():
@@ -180,10 +169,39 @@ def test_l1_path_warm_equals_cold():
     data = _pois_data(rng, N=200, p=5)
     C = Dense(_spd(rng, 5))
     lam_path = np.geomspace(np.max(np.abs(data.s)), 0.05 * np.max(np.abs(data.s)), 6)
-    warm = mpele_l1_path(data, C, lam_path)
+    warm = mele_l1_path(data, C, lam_path)
     for fr, lam in zip(warm, lam_path):
-        cold = mpele_l1_general(data, C, float(lam))
+        cold = mele_l1_path(data, C, [float(lam)])[0]
         assert np.allclose(fr.params.theta, cold.params.theta, atol=1e-7)
+
+
+def test_l1_path_is_mele_plus_l1():
+    """mele_l1_path maximizes mele's quadratic minus lam ||theta||_1: on
+    Gaussian data with sigma^2 != 1 and C = X'X/N it is the exact L1 MAP,
+    and at lam = 0 it is mele with the same ridge, offset included."""
+    rng = np.random.default_rng(31)
+    data = _gauss_data(rng, N=60, p=5, sigma2=4.0)
+    C = Dense(data.X.T @ data.X / data.N)
+    lam_path = default_lambda_path(data, n=4)[1:]
+    for fr, lam in zip(mele_l1_path(data, C, lam_path), lam_path):
+        want = fit_exact_l1(data, lam).params.theta
+        np.testing.assert_allclose(fr.params.theta, want, rtol=0, atol=1e-12)
+    # the default path starts where theta leaves zero
+    lam_max = default_lambda_path(data)[0]
+    top = mele_l1_path(data, C, [lam_max, 0.99 * lam_max])
+    assert [np.count_nonzero(fr.params.theta) for fr in top] == [0, 1]
+    R = Diagonal(np.linspace(5.0, 50.0, 5))
+    for data in (_gauss_data(rng, sigma2=4.0), _pois_data(rng, N=400, p=5)):
+        C = Dense(_spd(rng, 5))
+        fr = mele_l1_path(data, C, [0.0], R=R)[0]
+        want = mele(data, C, R=R).params
+        np.testing.assert_allclose(fr.params.theta, want.theta, rtol=0, atol=1e-10)
+        assert fr.params.theta0 == pytest.approx(want.theta0, abs=1e-10)
+    assert want.theta0 != 0.0
+    X = rng.standard_normal((10, 3))
+    empty = GlmDataset(X=X, r=np.zeros(10), family=Poisson(dt=1.0))
+    with pytest.raises(ValueError, match="no events"):
+        mele_l1_path(empty, ScaledIdentity(3, 1.0), [1.0, 0.5])
 
 
 # --- L1 model solve: cyclic sweeps finished on the support ----------------------

@@ -17,7 +17,6 @@ from elglm.sampling import (
     load_chain,
     make_potential,
     save_chain,
-    surrogate_hmc_chain,
     write_summary_csv,
 )
 from elglm.structured import Dense, ScaledIdentity
@@ -109,9 +108,9 @@ def test_surrogate_targets_exact_not_el():
     prec_el = np.array([[1.8]])
     u_el = _quad_potential(prec_el, np.zeros(1))
     u_ex = _quad_potential(prec_exact, np.zeros(1))
-    chain = surrogate_hmc_chain(
-        u_el, lambda x: u_ex(x)[0], np.zeros(1), step=0.5, n_leapfrog=10,
-        draws=6000, seed=7,
+    chain = hmc_chain(
+        u_ex, np.zeros(1), step=0.5, n_leapfrog=10, draws=6000, seed=7,
+        target="surrogate", force=lambda x: u_el(x)[1],
     )
     var = chain.samples.var()
     assert abs(var - 1.0) < 0.12          # exact variance, not 1/1.8
@@ -120,18 +119,11 @@ def test_surrogate_targets_exact_not_el():
     assert chain.target == "surrogate"
 
 
-def test_surrogate_accepts_value_grad_callable():
-    u = _quad_potential(np.eye(1) * 2.0, np.zeros(1))
-    a = surrogate_hmc_chain(u, lambda x: u(x)[0], np.zeros(1), draws=40, seed=1)
-    b = surrogate_hmc_chain(u, u, np.zeros(1), draws=40, seed=1)
-    assert np.array_equal(a.samples, b.samples)
-
-
 def test_surrogate_equals_hmc_when_potentials_match():
     u = _quad_potential(np.array([[1.2, 0.2], [0.2, 0.9]]), np.ones(2))
     a = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=6, draws=80, seed=9)
-    b = surrogate_hmc_chain(u, lambda x: u(x)[0], np.zeros(2), step=0.3,
-                            n_leapfrog=6, draws=80, seed=9)
+    b = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=6, draws=80, seed=9,
+                  target="surrogate", force=lambda x: u(x)[1])
     assert np.array_equal(a.samples, b.samples)
     assert a.acceptance_rate == b.acceptance_rate
 
@@ -226,8 +218,8 @@ def test_partial_pass_potentials_give_byte_identical_chains():
     assert hasattr(u_exact, "grad") and hasattr(u_exact, "value")
     pairs = [
         (hmc_chain(u_exact, x0, **kw), hmc_chain(plain(exact), x0, **kw)),
-        (surrogate_hmc_chain(u_el, u_exact, x0, **kw),
-         surrogate_hmc_chain(plain(el), plain(exact), x0, **kw)),
+        (hmc_chain(u_exact, x0, target="surrogate", force=u_el.grad, **kw),
+         hmc_chain(plain(exact), x0, target="surrogate", force=lambda x: plain(el)(x)[1], **kw)),
     ]
     for ours, want in pairs:
         assert ours.samples.tobytes() == want.samples.tobytes()
@@ -247,9 +239,7 @@ def test_force_drives_the_leapfrog_and_the_potential_scores_it():
     assert a.samples.tobytes() == b.samples.tobytes()
     u_off = _quad_potential(1.8 * prec, np.ones(2))
     c = hmc_chain(u, np.zeros(2), force=lambda x: u_off(x)[1], **kw)
-    d = surrogate_hmc_chain(u_off, u, np.zeros(2), **kw)
-    assert c.samples.tobytes() == d.samples.tobytes()
-    assert c.target == "exact" and d.target == "surrogate"
+    assert c.target == "exact"
     assert np.allclose(c.energies, [u(x)[0] for x in c.samples], atol=1e-12)
 
 
