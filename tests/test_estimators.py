@@ -164,6 +164,17 @@ def test_diagonal_path_rejects_nondiagonal():
         mele_l1_path(data, Diagonal(np.ones(3)), [-1.0])
 
 
+def test_general_cd_matches_diagonal_closed_form():
+    rng = np.random.default_rng(8)
+    data = _gauss_data(rng, p=5)
+    diag = np.linspace(0.4, 2.0, 5)
+    for lam in (3.0, 0.5):
+        a = mele_l1_path(data, Dense(np.diag(diag)), [lam])[0]
+        b = np.sign(data.s) * np.maximum(np.abs(data.s) - lam, 0.0) / (data.N * diag)
+        assert np.allclose(a.params.theta, b, atol=1e-9)
+        assert a.diagnostics["kkt"] <= 1e-8
+
+
 def test_l1_path_warm_equals_cold():
     rng = np.random.default_rng(9)
     data = _pois_data(rng, N=200, p=5)
