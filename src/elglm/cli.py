@@ -172,7 +172,10 @@ _FIT_OFFSET = {"type": "boolean"}
 _ESTIMATOR_FIELDS = {
     "mele": {"R": _STRUCTURED},
     "mpele": {"R": _STRUCTURED},
-    "mpele_l1": {"R": _STRUCTURED, "lam_path": {"type": "array", "items": {"type": "number"}}},
+    "mpele_l1": {
+        "R": _STRUCTURED,
+        "lam_path": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
+    },
     "exact": {"R": _STRUCTURED, "fit_offset": _FIT_OFFSET},
     "exact_l1": {
         "R": _STRUCTURED, "lam": {"type": "number", "minimum": 0}, "fit_offset": _FIT_OFFSET
@@ -281,7 +284,7 @@ SCHEMAS = {
             "simulate": _SIM_POPULATION,
             "basis": {"type": "object"},
             "C": _STRUCTURED,
-            "lam_path": {"type": "array", "items": {"type": "number", "minimum": 0}},
+            "lam_path": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
             "pcg_budget": {"type": "integer", "minimum": 0},
         },
     },
@@ -387,13 +390,26 @@ def _fit_json(fit) -> dict:
     }
 
 
+def _lam_path(values, strict: bool) -> np.ndarray:
+    """A configured lambda path; one that rises, or with ``strict`` one that
+    repeats a value, is a config error."""
+    lam_path = np.asarray(values, dtype=float)
+    steps = np.diff(lam_path)
+    if np.any(steps >= 0 if strict else steps > 0):
+        order = "strictly decreasing" if strict else "nonincreasing"
+        raise ConfigError(f"lam_path must be {order}, got {values}")
+    return lam_path
+
+
 # ---------------------------------------------------------------- runners
 
 def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
-    data, C_true, _ = _resolve_dataset(cfg["data"], seed)
-    C = structured_from_config(cfg["C"]) if "C" in cfg else C_true
     est = cfg["estimator"]
     kind = est["kind"]
+    # only mpele_l1 takes a lam_path; checked before any data is read
+    lam_path = _lam_path(est["lam_path"], strict=True) if "lam_path" in est else None
+    data, C_true, _ = _resolve_dataset(cfg["data"], seed)
+    C = structured_from_config(cfg["C"]) if "C" in cfg else C_true
     # the EL kinds start from the closed form, which only Gaussian and Poisson
     # data have; fit_exact would otherwise run dense Newton from zero
     if kind in ("mele", "mpele", "mpele_l1", "pcg_refine"):
@@ -405,7 +421,8 @@ def _run_fit(cfg: dict, outdir: pathlib.Path, seed: int):
     fit_offset = est.get("fit_offset", False)
     outputs = []
     if kind == "mpele_l1":
-        lam_path = np.asarray(est.get("lam_path", default_lambda_path(data)), dtype=float)
+        if lam_path is None:
+            lam_path = default_lambda_path(data)
         fits = mele_l1_path(data, C, lam_path, R=R)
         rows = [
             (lam, int(np.count_nonzero(f.params.theta)), f.diagnostics["kkt"])
@@ -580,10 +597,19 @@ def _run_risk(cfg: dict, outdir: pathlib.Path, seed: int):
                     raise ConfigError(f"risk Monte Carlo for {kind!r} at p={p}: {e}") from None
     rows = []
     ss = np.random.SeedSequence(seed)
+    nan = (float("nan"), float("nan"))
     for snr in snrs:
         for p in ps:
-            for kind in kinds:
-                closed = asym = mc = stderr = float("nan")
+            # one theta and one Monte Carlo seed per cell: every kind sees the
+            # same draws, so the comparison between kinds is paired
+            mcs = [nan] * len(kinds)
+            if trials > 0 and kinds:
+                s_theta, s_mc = ss.spawn(1)[0].generate_state(2)
+                theta = np.random.default_rng(int(s_theta)).standard_normal(p)
+                theta *= np.sqrt(snr) / np.linalg.norm(theta)
+                mcs = mc_mse(kinds, N, p, theta, trials, int(s_mc), c=c)
+            for kind, (mc, stderr) in zip(kinds, mcs):
+                closed = asym = float("nan")
                 try:
                     closed = mse_closed_form(RiskSpec(kind=kind, N=N, p=p, theta_norm2=snr, c=c))
                 except ValueError:
@@ -593,11 +619,6 @@ def _run_risk(cfg: dict, outdir: pathlib.Path, seed: int):
                         asym = mse_asymptotic(kind, p / N, snr, c=c)
                     except ValueError:
                         pass
-                if trials > 0:
-                    s_theta, s_mc = ss.spawn(1)[0].generate_state(2)
-                    theta = np.random.default_rng(int(s_theta)).standard_normal(p)
-                    theta *= np.sqrt(snr) / np.linalg.norm(theta)
-                    mc, stderr = mc_mse(kind, N, p, theta, trials, int(s_mc), c=c)
                 rows.append((kind, snr, p / N, p, closed, asym, mc, stderr))
     _write_csv(
         outdir / "risk.csv",
@@ -676,6 +697,7 @@ def _run_simulate(cfg: dict, outdir: pathlib.Path, seed: int):
 
 
 def _run_population(cfg: dict, outdir: pathlib.Path, seed: int):
+    lam_path = _lam_path(cfg["lam_path"], strict=False)
     if "data_stem" in cfg:
         pop = load_population(cfg["data_stem"])
         if "C" not in cfg:
@@ -688,7 +710,6 @@ def _run_population(cfg: dict, outdir: pathlib.Path, seed: int):
         pop = load_population(outdir / "popdata")
         C = structured_from_config(json.loads((outdir / "popdata_C.json").read_text()))
         basis = HistoryBasis(**cfg["simulate"].get("basis", {}))
-    lam_path = np.asarray(cfg["lam_path"], dtype=float)
     result = stagewise_population_fit(pop, basis, C, lam_path, pcg_budget=cfg.get("pcg_budget", 0))
     T = pop.N * pop.dt
     # one design per neuron, scored under every lambda's filters

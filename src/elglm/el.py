@@ -31,8 +31,6 @@ offset first, and Hessians are applied lazily through C matvecs.
 from __future__ import annotations
 
 import numpy as np
-import scipy.integrate
-import scipy.interpolate
 import scipy.special
 
 from .families import Bernoulli, CanonicalFamily, Gaussian, Poisson, family_from_config
@@ -189,6 +187,10 @@ def _angle_rule(p: int, n: int):
 
 
 def _radial_rule_from_density(density, n: int):
+    # imported here: it loads scipy.optimize, scipy.sparse and scipy.spatial,
+    # which nothing else on the CLI's paths needs
+    import scipy.integrate
+
     total, _ = scipy.integrate.quad(density, 0.0, np.inf, limit=200)
     if not np.isfinite(total) or total <= 0:
         raise ValueError("radial law is not normalizable")
@@ -244,6 +246,8 @@ class Elliptic1D(ExpectationEngine):
             np.asarray(d1_values, float),
             np.asarray(d2_values, float),
         )
+        import scipy.interpolate  # imported here, as in _radial_rule_from_density
+
         self._interp = [scipy.interpolate.PchipInterpolator(knots, v) for v in self._values]
         self._interp_d = [f.derivative() for f in self._interp]
         self._interp_dd = [f.derivative(2) for f in self._interp]

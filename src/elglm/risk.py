@@ -18,7 +18,9 @@ the risk depends on theta only through its norm. Each error is therefore a
 function of (B, w), which a trial draws in O(p) numbers and evaluates in
 O(p) work with a bidiagonal or tridiagonal solve, instead of an N x p
 design, its gram and a p x p solve. The draws do not depend on the kind, so
-one seed gives every kind the same datasets.
+one call to mc_mse with several kinds draws each trial's (B, w) once and
+evaluates every kind on it: the kinds share their datasets (common random
+numbers), and one seed gives them the same datasets in separate calls too.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import lapack, solveh_banded
 
 __all__ = [
     "RiskSpec",
@@ -185,16 +187,25 @@ def _bidiagonal(rng, N, p):
     d = np.sqrt(rng.chisquare(np.arange(N, N - n, -1)))
     e = np.sqrt(rng.chisquare(np.arange(p - 1, p - 1 - min(n, p - 1), -1)))
     w = rng.standard_normal(n)
-    pad = e.size + 1 - n  # 1 when N < p: column N + 1 holds e_N only
-    return np.pad(d, (0, pad)), e, np.pad(w, (0, pad))
+    if N < p:  # column N + 1 holds e_N only
+        return np.pad(d, (0, 1)), e, np.pad(w, (0, 1))
+    return d, e, w
 
 
 def _squared_error(kind, d, e, w, N, p, s, c):
     """||theta_hat - theta||^2 for theta = s e_1, in the frame where X = U B V'
-    with V e_1 = e_1 (coordinates beyond B's nonzero columns are zero)."""
+    with V e_1 = e_1 (coordinates beyond B's nonzero columns are zero).
+    Reads d, e and w without writing them, so one draw serves every kind."""
     if kind == "mle":
-        # (X'X)^{-1} X'eps = V B^{-1} w, with B square since p < N - 1
-        x = solve_banded((0, 1), np.array([np.r_[0.0, e], d]), w, check_finite=False)
+        # (X'X)^{-1} X'eps = V B^{-1} w, with B square since p < N - 1: a
+        # back substitution on B in LAPACK's upper band storage
+        ab = np.empty((2, d.size))
+        ab[0, 0] = 0.0
+        ab[0, 1:] = e
+        ab[1] = d
+        x, info = lapack.dtbtrs(ab, w)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular matrix")
         return float(x @ x)
     g = d * w
     g[1:] += e * w[:-1]  # B'w
@@ -217,31 +228,41 @@ def _squared_error(kind, d, e, w, N, p, s, c):
 
 
 def _mc_errors(kind, N, p, theta_true, trials, seed, c=0.0):
-    """Per-trial squared errors behind mc_mse."""
-    check_mc(kind, N, p, trials, c)
+    """Per-trial squared errors behind mc_mse: a vector for one kind, or one
+    row per kind for a sequence of kinds. Every kind is checked before the
+    first draw, and each trial's (B, w) serves every kind."""
+    kinds = [kind] if isinstance(kind, str) else list(kind)
+    if not kinds:
+        raise ValueError("kinds must not be empty")
+    for k in kinds:
+        check_mc(k, N, p, trials, c)
     theta = np.asarray(theta_true, dtype=float)
     if theta.shape != (p,):
         raise ValueError(f"theta_true must have shape ({p},)")
     s = float(np.linalg.norm(theta))
-    errs = np.empty(trials)
+    errs = np.empty((len(kinds), trials))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         d, e, w = _bidiagonal(np.random.default_rng(child), N, p)
-        errs[i] = _squared_error(kind, d, e, w, N, p, s, c)
-    return errs
+        for j, k in enumerate(kinds):
+            errs[j, i] = _squared_error(k, d, e, w, N, p, s, c)
+    return errs[0] if isinstance(kind, str) else errs
 
 
-def mc_mse(kind: str, N: int, p: int, theta_true, trials: int, seed, c: float = 0.0):
+def mc_mse(kind, N: int, p: int, theta_true, trials: int, seed, c: float = 0.0):
     """Monte Carlo E||theta_hat - theta||^2 over fresh (X, r) draws.
 
-    Returns (estimate, stderr). Each trial samples the bidiagonal factor of X
-    and the rotated noise (see the module docstring) in O(p) draws and work;
-    the result has the distribution of the brute-force draw of X and r. Only
-    ||theta_true|| enters. The RNG stream is consumed identically for every
-    kind, so runs with the same seed see the same simulated datasets and
-    paired comparisons across estimators are exact.
+    Returns (estimate, stderr) for one kind, or a list of such pairs, in
+    order, for a sequence of kinds. Each trial samples the bidiagonal factor
+    of X and the rotated noise (see the module docstring) in O(p) draws and
+    work; the result has the distribution of the brute-force draw of X and r.
+    Only ||theta_true|| enters. All the kinds of one call see the same draws,
+    so the comparison between them is paired; a single kind gives the same
+    numbers as it does within a sequence, so the same seed in separate calls
+    sees the same datasets too.
     """
-    errs = _mc_errors(kind, N, p, theta_true, trials, seed, c)
-    return float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(trials))
+    errs = np.atleast_2d(_mc_errors(kind, N, p, theta_true, trials, seed, c))
+    out = [(float(e.mean()), float(e.std(ddof=1) / math.sqrt(trials))) for e in errs]
+    return out[0] if isinstance(kind, str) else out
 
 
 def optimal_ridge(kind: str, rho: float, theta_norm2: float):

@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +61,20 @@ def run_cli(capsys, args):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_unused_scipy_subpackage():
+    """import elglm.cli leaves scipy.integrate, scipy.interpolate and
+    scipy.optimize unloaded. Run in a fresh interpreter: other test modules
+    import scipy.integrate themselves."""
+    src = str(pathlib.Path(cli_mod.__file__).resolve().parents[1])
+    code = (
+        "import sys, elglm.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------- exit codes
@@ -311,6 +328,26 @@ def test_estimator_kind_rejects_keys_it_does_not_read(tmp_path, capsys, kind, st
     value = {"fit_offset": True, "k": 2, "lam": 3.0, "lam_path": [1.0]}[stray]
     code, _, err = _exact_fit(tmp_path, capsys, {"kind": kind, stray: value})
     assert code == 2 and f"'{stray}' was unexpected" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, lam_path",
+    [("fit", [1.0, 2.0]), ("fit", [1.0, 1.0]), ("fit", [-1.0]), ("fit", []),
+     ("population", [1.0, 2.0]), ("population", [])],
+    ids=["fit-rising", "fit-repeated", "fit-negative", "fit-empty", "population-rising", "population-empty"],
+)
+def test_bad_lambda_path_is_exit_2(tmp_path, capsys, subcommand, lam_path):
+    """A lambda path that rises, is empty or holds a negative value is a
+    config error; the fit's path must also strictly decrease, while the
+    population's may repeat a value."""
+    if subcommand == "fit":
+        cfg = _poisson_fit_cfg({"kind": "mpele_l1", "lam_path": lam_path})
+    else:
+        cfg = {**_population_cfg(), "lam_path": lam_path}
+    code, _, err = run_cli(
+        capsys, [subcommand, write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")]
+    )
+    assert code == 2 and "config error" in err
 
 
 def test_pcg_refine_estimator_matches_the_library_call(tmp_path, capsys):
@@ -687,6 +724,21 @@ def test_sample_exact_hmc_energies_are_the_float64_potential(tmp_path, capsys):
     lib = hmc_chain(u, x0, 0.02, 8, 30, 5, 3, "surrogate", force=make_potential(el).grad)
     surrogate = load_chain(pathlib.Path(out.strip()) / "chain")
     assert code == 0 and surrogate.samples.tobytes() == lib.samples.tobytes()
+
+
+def test_risk_kinds_share_each_cells_draws(tmp_path, capsys):
+    """Every kind of a risk cell sees the same Monte Carlo draws: at c = 0 the
+    MPELE is the MELE, so the two write equal Monte Carlo columns."""
+    cfg = {"seed": 3, "N": 40, "kinds": ["mele", "mpele"], "rho_grid": [0.25, 0.5], "trials": 5, "c": 0.0}
+    code, out, _ = run_cli(capsys, ["risk", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 0
+    with open(pathlib.Path(out.strip()) / "risk.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["kind"] for r in rows] == ["mele", "mpele"] * 2
+    for mele_row, mpele_row in zip(rows[::2], rows[1::2]):
+        assert mele_row["p"] == mpele_row["p"]
+        assert (mele_row["mse_mc"], mele_row["mc_stderr"]) == (mpele_row["mse_mc"], mpele_row["mc_stderr"])
+        assert np.isfinite(float(mele_row["mse_mc"]))
 
 
 def test_risk_csv_matches_closed_forms(tmp_path, capsys):

@@ -9,7 +9,9 @@ from elglm.risk import (
     KINDS,
     MPLaw,
     RiskSpec,
+    _bidiagonal,
     _mc_errors,
+    _squared_error,
     crossover_rho,
     mc_mse,
     mp_density,
@@ -81,11 +83,13 @@ def test_mc_agrees_with_theory(kind, c):
         assert abs(est - want) < 4 * se
 
 
-def test_mc_determinism_and_guards():
+def test_mc_determinism_and_guards(monkeypatch):
     theta = np.ones(3)
     a = mc_mse("mele", 20, 3, theta, trials=5, seed=1)
     b = mc_mse("mele", 20, 3, theta, trials=5, seed=1)
     assert a == b
+    kinds = ["mele", "mle", "mpele", "map"]
+    assert mc_mse(kinds, 20, 3, theta, 5, 1, c=0.5) == mc_mse(kinds, 20, 3, theta, 5, 1, c=0.5)
     with pytest.raises(ValueError, match="trials"):
         mc_mse("mele", 20, 3, theta, trials=1, seed=1)
     with pytest.raises(ValueError, match="p < N - 1"):
@@ -96,6 +100,16 @@ def test_mc_determinism_and_guards():
         mc_mse("mele", 20, 4, theta, trials=5, seed=1)
     with pytest.raises(ValueError, match="kind"):
         mc_mse("ols", 20, 3, theta, trials=5, seed=1)
+    # a sequence of kinds is checked whole before the first draw
+    drawn = []
+    monkeypatch.setattr("elglm.risk._bidiagonal", lambda *a: drawn.append(a))
+    with pytest.raises(ValueError, match="p < N - 1"):
+        mc_mse(["mele", "mle"], 4, 3, theta, trials=5, seed=1)
+    with pytest.raises(ValueError, match="kind"):
+        mc_mse(["mele", "ols"], 20, 3, theta, trials=5, seed=1)
+    with pytest.raises(ValueError, match="empty"):
+        mc_mse([], 20, 3, theta, trials=5, seed=1)
+    assert drawn == []
 
 
 def _brute_force_errors(kind, N, p, theta, trials, seed, c=0.0):
@@ -150,6 +164,8 @@ def test_mc_trials_pair_across_kinds_and_see_only_the_norm():
     Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((p, p)))
     mele = _mc_errors("mele", N, p, theta, trials, seed=5)
     np.testing.assert_array_equal(_mc_errors("mpele", N, p, theta, trials, seed=5, c=0.0), mele)
+    for row in _mc_errors(("mele", "mpele"), N, p, theta, trials, seed=5, c=0.0):
+        np.testing.assert_array_equal(row, mele)
     np.testing.assert_allclose(
         _mc_errors("map", N, p, theta, trials, seed=5, c=0.0),
         _mc_errors("mle", N, p, theta, trials, seed=5),
@@ -161,6 +177,38 @@ def test_mc_trials_pair_across_kinds_and_see_only_the_norm():
             _mc_errors(kind, N, p, theta, trials, seed=5, c=c),
             rtol=1e-12,
         )
+
+
+@pytest.mark.parametrize("N,p,c", [(30, 6, 0.0), (30, 6, 0.7), (10, 25, 0.7)], ids=["p<N-1", "c>0", "p>N"])
+def test_mc_mse_with_several_kinds_equals_one_kind_calls(N, p, c):
+    """One call over a sequence of kinds draws each trial once and returns
+    the one-kind results bit for bit, in the order given."""
+    kinds = [k for k in ("map", "mle", "mele", "mpele") if k != "mle" or p < N - 1]
+    theta = _theta(p, 1.5, 6)
+    got = mc_mse(kinds, N, p, theta, 20, seed=9, c=c)
+    assert got == [mc_mse(k, N, p, theta, 20, seed=9, c=c) for k in kinds]
+    rows = _mc_errors(kinds, N, p, theta, 20, seed=9, c=c)
+    for k, row in zip(kinds, rows):
+        assert row.tobytes() == _mc_errors(k, N, p, theta, 20, seed=9, c=c).tobytes()
+
+
+def test_squared_error_leaves_the_draw_unchanged():
+    for N, p in ((30, 6), (10, 25)):
+        d, e, w = _bidiagonal(np.random.default_rng(2), N, p)
+        # B has m = min(N + 1, p) nonzero columns; at p > N the last holds e_N only
+        m = min(N + 1, p)
+        assert (d.size, e.size, w.size) == (m, m - 1, m)
+        assert (d[-1] == 0 and w[-1] == 0) == (p > N)
+        before = [a.copy() for a in (d, e, w)]
+        for kind in ("mele", "mpele", "map") + (("mle",) if p < N - 1 else ()):
+            _squared_error(kind, d, e, w, N, p, 1.3, 0.5)
+        for a, b in zip((d, e, w), before):
+            assert a.tobytes() == b.tobytes()
+    # a zero on B's diagonal leaves the MLE undefined
+    d, e, w = _bidiagonal(np.random.default_rng(2), 30, 6)
+    d[3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _squared_error("mle", d, e, w, 30, 6, 1.3, 0.0)
 
 
 def test_asymptotic_is_large_N_limit():
