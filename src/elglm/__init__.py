@@ -50,6 +50,7 @@ from .estimators import (
     mele_l1_path,
 )
 from .selection import (
+    el_evidence,
     el_logF_scalar,
     gaussian_evidence,
     laplace_evidence,
@@ -67,8 +68,8 @@ from .sampling import (
 )
 from .risk import (
     crossover_rho,
+    MPLaw,
     mc_mse,
-    mp_density,
     mse_asymptotic,
     mse_closed_form,
     optimal_ridge,

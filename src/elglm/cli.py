@@ -27,6 +27,7 @@ import scipy
 from . import __version__
 from .el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_loglik
 from .estimators import (
+    _check_path,
     default_lambda_path,
     fit_exact,
     fit_exact_l1,
@@ -54,7 +55,13 @@ from .sampling import (
     save_chain,
     write_summary_csv,
 )
-from .selection import gaussian_evidence, laplace_evidence, rhat_analytic, rhat_fixed_point
+from .selection import (
+    el_evidence,
+    gaussian_evidence,
+    laplace_evidence,
+    rhat_analytic,
+    rhat_fixed_point,
+)
 from .simulate import (
     StimulusSpec,
     gen_coupled_population,
@@ -225,9 +232,7 @@ SCHEMAS = {
             "max_iter": {"type": "integer", "minimum": 1},
             "data": _DATA,
             "C": _STRUCTURED,
-            "evidence": {
-                "enum": ["gaussian_exact", "gaussian_el", "laplace_exact", "laplace_el"]
-            },
+            "evidence": {"enum": ["gaussian_exact", "laplace_exact", "el"]},
             "beta_grid": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
         },
     },
@@ -391,14 +396,12 @@ def _fit_json(fit) -> dict:
 
 
 def _lam_path(values, strict: bool) -> np.ndarray:
-    """A configured lambda path; one that rises, or with ``strict`` one that
-    repeats a value, is a config error."""
-    lam_path = np.asarray(values, dtype=float)
-    steps = np.diff(lam_path)
-    if np.any(steps >= 0 if strict else steps > 0):
-        order = "strictly decreasing" if strict else "nonincreasing"
-        raise ConfigError(f"lam_path must be {order}, got {values}")
-    return lam_path
+    """A configured lambda path that ``_check_path`` accepts; any other is a
+    config error."""
+    try:
+        return _check_path(values, strict)
+    except ValueError as e:
+        raise ConfigError(f"lam_path {values}: {e}") from None
 
 
 # ---------------------------------------------------------------- runners
@@ -507,21 +510,24 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
     data, C_true, _ = _resolve_dataset(cfg["data"], seed)
     C = structured_from_config(cfg["C"]) if "C" in cfg else C_true
     method = cfg["evidence"]
-    if method in ("gaussian_el", "laplace_el") and C is None:
-        raise ConfigError(f"evidence {method!r} needs a covariance C")
+    # checked before any fit: each evidence reads data that it can model
+    if method == "gaussian_exact" and not isinstance(data.family, Gaussian):
+        raise ConfigError("evidence 'gaussian_exact' needs a Gaussian dataset")
+    if method == "el":
+        if C is None:
+            raise ConfigError("evidence 'el' needs a covariance: give 'C' in the config")
+        if not isinstance(data.family, (Gaussian, Poisson)):
+            raise ConfigError("evidence 'el' needs a Gaussian or Poisson dataset")
     rows = []
     for beta in cfg["beta_grid"]:
         R = ScaledIdentity(data.p, float(beta))
         if method == "gaussian_exact":
-            ev = gaussian_evidence(data, R=R, mode="exact")
-        elif method == "gaussian_el":
-            ev = gaussian_evidence(data, R=R, mode="el", C=C)
+            ev = gaussian_evidence(data, R)
         elif method == "laplace_exact":
             fit = fit_exact(data, R=R, fit_offset=True, C=C)
-            ev = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True)
+            ev = laplace_evidence(data, R, fit.params, fit_offset=True)
         else:
-            fit = mele(data, C, R=R)
-            ev = laplace_evidence(data, R, fit.params, mode="el", C=C)
+            ev = el_evidence(data, C, R)
         rows.append((beta, ev.value))
     _write_csv(outdir / "sweep.csv", ["beta", "log_evidence"], rows)
     return ["sweep.csv"]

@@ -4,12 +4,13 @@ The closed forms solve (n C + R) theta = X'r, up to the family's scale, at
 structured-solve cost (no data pass beyond the cached X'r). Only n depends on
 the family, and ``_el_n`` decides it once: N_s for Poisson data (the MPELE,
 with the offset profiled out) and N for Gaussian data (the MELE).
-``_el_system`` builds that system once for :func:`mele` and for its L1 path
-:func:`mele_l1_path`, which adds lambda ||theta||_1 to the same quadratic. The
-exact-likelihood optimizers serve as oracles and as the refinement stage: a
-few truncated-Newton steps from :func:`mele`, preconditioned by the EL
-Hessian, turn it into a MAP-accuracy estimate (``fit_exact`` with ``C`` and a
-small ``max_iter``).
+``_el_system`` is the one place that builds that system: :func:`mele`, its L1
+path :func:`mele_l1_path` (which adds lambda ||theta||_1 to the same
+quadratic), the exact MAP's start and preconditioner, the EL evidence and the
+LNP profile posterior all read it. The exact-likelihood optimizers serve as
+oracles and as the refinement stage: a few truncated-Newton steps from
+:func:`mele`, preconditioned by the EL Hessian, turn it into a MAP-accuracy
+estimate (``fit_exact`` with ``C`` and a small ``max_iter``).
 
 Penalties apply to the filter theta only, never to the offset theta0.
 """
@@ -55,11 +56,6 @@ class FitResult:
     diagnostics: dict = dataclasses.field(default_factory=dict)
 
 
-def _system(C: StructuredMatrix, factor: float, R) -> StructuredMatrix:
-    M = C.scaled(factor)
-    return M if R is None else add_structured(M, R)
-
-
 def _el_n(data: GlmDataset) -> float:
     """The data scale n of the EL's closed form (n C + R) theta = X'r: N_s for
     Poisson data, whose offset the profile EL maximizes out, and N for
@@ -81,7 +77,8 @@ def _el_system(data: GlmDataset, C: StructuredMatrix, R):
     if n <= 0:
         raise ValueError("no events: N_s = 0, the spike-triggered average is undefined")
     scale = data.family.scale
-    return _system(C, scale * n, R), scale * data.s
+    M = C.scaled(scale * n)
+    return (M if R is None else add_structured(M, R)), scale * data.s
 
 
 def _el_params(data: GlmDataset, C: StructuredMatrix, theta) -> GlmParams:
@@ -129,12 +126,19 @@ def default_lambda_path(data: GlmDataset, n: int = 100) -> np.ndarray:
     return np.geomspace(lam_max, 1e-4 * lam_max, n)
 
 
-def _check_path(lam_path):
+def _check_path(lam_path, strict: bool) -> np.ndarray:
+    """A lambda path as a float array: nonempty, 1-D, with no negative value,
+    and strictly decreasing with ``strict``, else nonincreasing. Raises
+    ``ValueError`` naming the rule that fails."""
     lam_path = np.asarray(lam_path, dtype=float)
+    if lam_path.ndim != 1 or lam_path.size == 0:
+        raise ValueError("lambda path must be a nonempty 1-D array")
     if np.any(lam_path < 0):
         raise ValueError("lambda values must be nonnegative")
-    if lam_path.size > 1 and np.any(np.diff(lam_path) >= 0):
-        raise ValueError("lambda path must be strictly decreasing")
+    steps = np.diff(lam_path)
+    if np.any(steps >= 0 if strict else steps > 0):
+        order = "strictly decreasing" if strict else "nonincreasing"
+        raise ValueError(f"lambda path must be {order}")
     return lam_path
 
 
@@ -195,7 +199,7 @@ def mele_l1_path(data: GlmDataset, C: StructuredMatrix, lam_path, R=None) -> lis
     ``L1_MAX_SWEEPS`` sweeps; a diagonal M needs one sweep. Each fit carries
     :func:`mele`'s offset, and lambda = 0 lands on ``mele(data, C, R=R)``.
     """
-    lam_path = _check_path(lam_path)
+    lam_path = _check_path(lam_path, strict=True)
     M, b = _el_system(data, C, R)
     A = M.to_dense()
     theta = np.zeros(data.p)
@@ -248,19 +252,20 @@ def _el_recipe(data: GlmDataset, C, R, fit_offset: bool, init):
     """The EL side of an exact MAP: (start, g -> M^{-1} g), or None without C
     or for a family with no closed-form EL estimate.
 
-    The start is ``init`` or :func:`mele`; M is the EL Hessian
-    blockdiag(s_f n, s_f n C + R) with the family's scale s_f and n from
-    ``_el_n`` (at least 1, so a Poisson ``init`` with no events still gets a
-    preconditioner), its offset block present only when the offset is fitted
-    and its theta block applied through a structured solve.
+    One ``_el_system`` call serves both. The start is ``init`` or
+    :func:`mele`'s estimate, its solve; M is the EL Hessian
+    blockdiag(s_f n, s_f n C + R), its theta block the system's matrix
+    applied through a structured solve and its offset block present only when
+    the offset is fitted. Poisson data with no events raise, as in
+    :func:`mele`: they have no MAP.
     """
     if C is None:
         return None
     try:
-        n = data.family.scale * max(_el_n(data), 1.0)
+        n = data.family.scale * _el_n(data)
     except ValueError:
         return None
-    block = _system(C, n, R)
+    block, b = _el_system(data, C, R)
 
     def apply_pre(g):
         if not fit_offset:
@@ -270,7 +275,9 @@ def _el_recipe(data: GlmDataset, C, R, fit_offset: bool, init):
         out[1:] = block.solve_shifted(0.0, g[1:])
         return out
 
-    return (mele(data, C, R=R).params if init is None else init), apply_pre
+    if init is None:
+        init = _el_params(data, C, block.solve_shifted(0.0, b))
+    return init, apply_pre
 
 
 def _pcg(action, b, apply_pre, rtol, max_iter):

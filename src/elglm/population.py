@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .families import Poisson
 from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
-from .estimators import fit_exact, fit_exact_l1, mele
+from .estimators import _check_path, fit_exact, fit_exact_l1, mele
 from .structured import StructuredMatrix
 
 __all__ = [
@@ -243,11 +243,7 @@ def stagewise_population_fit(
     term frozen at alpha * X_s theta_s; only the couplings carry the L1
     penalty, and fits are warm-started along the path.
     """
-    lam_path = np.asarray(lam_path, dtype=float)
-    if lam_path.ndim != 1 or lam_path.size == 0:
-        raise ValueError("lam_path must be a nonempty 1-D array")
-    if np.any(lam_path < 0) or np.any(np.diff(lam_path) > 0):
-        raise ValueError("lam_path must be nonnegative and nonincreasing")
+    lam_path = _check_path(lam_path, strict=False)
     M = data.M
     if np.any(data.spikes.sum(axis=1) == 0):
         quiet = np.flatnonzero(data.spikes.sum(axis=1) == 0)

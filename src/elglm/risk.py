@@ -37,7 +37,6 @@ __all__ = [
     "mse_closed_form",
     "mse_asymptotic",
     "MPLaw",
-    "mp_density",
     "mc_mse",
     "check_mc",
     "crossover_rho",
@@ -120,10 +119,6 @@ class MPLaw:
         if self.zero_mass > 0:
             val += self.zero_mass * float(f(0.0))
         return val
-
-
-def mp_density(rho: float, n_quad: int = 400) -> MPLaw:
-    return MPLaw(rho, n_quad=n_quad)
 
 
 def mse_asymptotic(kind: str, rho: float, theta_norm2: float, c: float = 0.0) -> float:

@@ -28,7 +28,7 @@ import pathlib
 import numpy as np
 import scipy.linalg
 
-from .estimators import mele
+from .estimators import _el_system
 from .families import Poisson
 from .structured import StructuredMatrix
 
@@ -212,14 +212,14 @@ def make_potential(objective):
 
 def lnp_el_profile_gaussian(data, C: StructuredMatrix):
     """Flat-prior LNP EL posterior with the offset integrated out: theta is
-    exactly N(mpele, (N_s C)^{-1}). Returns (mean, precision, per-coordinate sd).
+    exactly N(mpele, (N_s C)^{-1}), mean and precision the EL's closed-form
+    system's solution and matrix. Returns (mean, precision, per-coordinate sd).
     """
     if not isinstance(data.family, Poisson):
         raise ValueError("the profile Gaussian applies to the Poisson (LNP) family")
-    fit = mele(data, C)
-    prec = C.scaled(data.N_s)
+    prec, b = _el_system(data, C, None)
     cov = np.linalg.inv(prec.to_dense())
-    return fit.params.theta, prec, np.sqrt(np.diag(cov))
+    return prec.solve_shifted(0.0, b), prec, np.sqrt(np.diag(cov))
 
 
 def save_chain(stem, chain: Chain) -> None:

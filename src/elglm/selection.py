@@ -1,8 +1,20 @@
 """Marginal likelihood (evidence) and ridge hyperparameter selection.
 
-Evidence values are reported up to additive constants in R; each mode's
-docstring records what it drops, and the R-dependent parts agree across
-modes, which is all that argmax-based selection compares. Infinity is a
+For a Gaussian prior N(0, R^{-1}) on theta and a log-likelihood that is
+quadratic in theta, b'theta - theta'(M - R)theta/2 + const, the log evidence
+is, up to constants in R,
+
+    0.5 (b' M^{-1} b + log det R - log det M),
+
+and every quadratic evidence here is that one formula over the system
+(M, b) that its estimate solves. :func:`gaussian_evidence` takes
+(s_f X'X + R, s_f X'r) from Gaussian data, where s_f = 1/sigma^2: this is the
+exact log marginal likelihood log N(r; 0, sigma^2 I + X R^{-1} X') less the
+R-free terms -N/2 log(2 pi sigma^2) - r'r/(2 sigma^2) (MacKay, *Bayesian
+interpolation*, 1992). :func:`el_evidence` takes the EL's closed-form system
+(s_f n C + R, s_f X'r) from ``estimators._el_system``. :func:`laplace_evidence`
+is the exact Laplace evidence at a given mode. Only R-dependent parts enter
+an argmax over R, so each function drops what does not. Infinity is a
 first-class ridge value here: it encodes "shrink theta to zero".
 """
 
@@ -13,14 +25,15 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .estimators import fit_exact
-from .families import Gaussian, Poisson
+from .estimators import _el_system, fit_exact
+from .families import Gaussian
 from .glm import ExactObjective, GlmDataset, GlmParams
-from .structured import ScaledIdentity, StructuredMatrix, add_structured
+from .structured import Dense, ScaledIdentity, StructuredMatrix
 
 __all__ = [
     "EvidenceResult",
     "gaussian_evidence",
+    "el_evidence",
     "laplace_evidence",
     "el_logF_scalar",
     "rhat_analytic",
@@ -43,97 +56,59 @@ class EvidenceResult:
             raise FloatingPointError(f"evidence value is not finite ({self.value})")
 
 
-def _chol_logdet_solve(M, b):
-    try:
-        cf = scipy.linalg.cho_factor(M)
-    except scipy.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(f"evidence precision matrix not positive definite: {e}")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    return logdet, scipy.linalg.cho_solve(cf, b)
-
-
-def gaussian_evidence(
-    data: GlmDataset, sigma2=None, R: StructuredMatrix = None, mode: str = "exact", C=None
-) -> EvidenceResult:
-    """Gaussian-model log evidence, 0.5 log det(Sigma R) + r'X Sigma X'r / (2 sigma^4).
-
-    mode="exact" uses Sigma = (X'X sigma^2 + R)^{-1}; mode="el" replaces X'X
-    by N C (structure-exploiting). Dropped constants (identical across
-    modes): the Gaussian data normalization -N/2 log(2 pi sigma^2) and
-    -r'r/(2 sigma^2).
-    """
-    if R is None:
-        raise ValueError("R is required")
-    if sigma2 is None:
-        if not isinstance(data.family, Gaussian):
-            raise ValueError("sigma2 must be given for non-Gaussian datasets")
-        sigma2 = data.family.sigma2
-    s = data.s
-    if mode == "exact":
-        M = (data.X.T @ data.X) * sigma2 + R.to_dense()
-        logdet_M, x = _chol_logdet_solve(M, s)
-    elif mode == "el":
-        if C is None:
-            raise ValueError("mode='el' requires the stimulus covariance C")
-        Minv = add_structured(C.scaled(data.N * sigma2), R)
-        logdet_M = Minv.logdet_shifted(0.0)
-        x = Minv.solve_shifted(0.0, s)
-    else:
-        raise ValueError("mode must be 'exact' or 'el'")
-    value = 0.5 * (R.logdet_shifted(0.0) - logdet_M) + float(s @ x) / (2.0 * sigma2**2)
+def _quadratic_evidence(data: GlmDataset, M, b, R, method: str) -> EvidenceResult:
+    """0.5 (b' M^{-1} b + log det R - log det M) for a structured M."""
+    value = 0.5 * (
+        float(b @ M.solve_shifted(0.0, b)) + R.logdet_shifted(0.0) - M.logdet_shifted(0.0)
+    )
     return EvidenceResult(
-        value=value, R=R.to_config(), method=f"gaussian_{mode}", q=float(s @ s), N_s=data.N_s
+        value=value, R=R.to_config(), method=method, q=float(data.s @ data.s), N_s=data.N_s
     )
 
 
-def laplace_evidence(
-    data: GlmDataset,
-    R: StructuredMatrix,
-    params: GlmParams,
-    mode: str = "exact",
-    C=None,
-    fit_offset: bool = False,
-) -> EvidenceResult:
-    """Laplace log evidence at a supplied mode point (MAP or MPELE).
+def gaussian_evidence(data: GlmDataset, R: StructuredMatrix) -> EvidenceResult:
+    """Exact log evidence of Gaussian data under the prior N(0, R^{-1}): the
+    quadratic evidence of (M, b) = (s_f X'X + R, s_f X'r), s_f = 1/sigma^2,
+    with M factored once as a ``Dense``."""
+    if not isinstance(data.family, Gaussian):
+        raise ValueError(f"the exact Gaussian evidence needs Gaussian data, not {data.family.name}")
+    scale = data.family.scale
+    M = Dense(scale * (data.X.T @ data.X) + R.to_dense())
+    return _quadratic_evidence(data, M, scale * data.s, R, "gaussian_exact")
 
-    mode="exact": L(params) + 0.5 log det R - 0.5 theta'R theta
-    - 0.5 log det(-H) with H the penalized exact Hessian; with
-    fit_offset=True, H is the full (p+1)-dim Hessian and the offset carries a
-    flat prior (drops a 0.5 log 2 pi constant). mode="el" is the LNP profile
-    form with -H = C N_s + R; it additionally drops the profile constants
-    N_s log(N_s / (N dt)) - N_s, which do not involve R.
+
+def el_evidence(data: GlmDataset, C: StructuredMatrix, R: StructuredMatrix) -> EvidenceResult:
+    """EL log evidence: the quadratic evidence of the EL's closed-form system
+    (M, b) = (s_f n C + R, s_f X'r) that :func:`~elglm.estimators.mele`
+    solves, at structured-solve cost. For Gaussian data it is
+    :func:`gaussian_evidence` with X'X replaced by N C; for Poisson data it
+    is the profile (offset maximized out) LNP evidence, which also drops the
+    R-free constants N_s log(N_s / (N dt)) - N_s. Other families raise."""
+    M, b = _el_system(data, C, R)
+    return _quadratic_evidence(data, M, b, R, "el")
+
+
+def laplace_evidence(
+    data: GlmDataset, R: StructuredMatrix, params: GlmParams, fit_offset: bool = False
+) -> EvidenceResult:
+    """Exact Laplace log evidence at a supplied mode point (usually the MAP):
+    L(params) + 0.5 log det R - 0.5 theta'R theta - 0.5 log det(-H), with H
+    the penalized exact Hessian. With fit_offset=True, H is the full
+    (p+1)-dim Hessian and the offset carries a flat prior (drops a
+    0.5 log 2 pi constant).
     """
-    if mode == "el":
-        if C is None:
-            raise ValueError("mode='el' requires the stimulus covariance C")
-        if not isinstance(data.family, Poisson):
-            raise ValueError("the EL profile evidence is for the Poisson (LNP) family")
-        if data.N_s <= 0:
-            raise ValueError("no events: N_s = 0")
-        A = add_structured(C.scaled(data.N_s), R)
-        theta = params.theta
-        quad = float(theta @ A.matvec(theta))
-        value = (
-            -0.5 * quad
-            + float(data.s @ theta)
-            + 0.5 * R.logdet_shifted(0.0)
-            - 0.5 * A.logdet_shifted(0.0)
-        )
-    elif mode == "exact":
-        obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0, R=R)
-        x = obj.vector(params)
-        try:
-            cf = scipy.linalg.cho_factor(-obj.hess_dense(x))
-        except scipy.linalg.LinAlgError as e:
-            raise np.linalg.LinAlgError(f"posterior Hessian not negative definite: {e}")
-        logdet_negH = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-        value = obj.value(x) + 0.5 * R.logdet_shifted(0.0) - 0.5 * logdet_negH
-    else:
-        raise ValueError("mode must be 'exact' or 'el'")
+    obj = ExactObjective(data, fit_offset=fit_offset, theta0=params.theta0, R=R)
+    x = obj.vector(params)
+    try:
+        cf = scipy.linalg.cho_factor(-obj.hess_dense(x))
+    except scipy.linalg.LinAlgError as e:
+        raise np.linalg.LinAlgError(f"posterior Hessian not negative definite: {e}")
+    logdet_negH = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+    value = obj.value(x) + 0.5 * R.logdet_shifted(0.0) - 0.5 * logdet_negH
     return EvidenceResult(
         value=value,
         R=R.to_config(),
-        method=f"laplace_{mode}",
+        method="laplace_exact",
         q=float(data.s @ data.s),
         N_s=data.N_s,
     )

@@ -3,14 +3,13 @@
 Covariance and prior-precision matrices in this toolkit are rarely dense:
 stimulus ensembles give scaled-identity, diagonal, banded, circulant, or
 Kronecker (spatiotemporally separable) covariances. Every kind supports the
-same four operations
+same three operations
 
-    matvec(v), matvec_shifted(shift, v), solve_shifted(shift, b),
-    logdet_shifted(shift)
+    matvec(v), solve_shifted(shift, b), logdet_shifted(shift)
 
-where ``shift`` is a scalar or a length-p diagonal, so estimators can solve
-systems of the form (S + D) x = b without ever densifying when the structure
-allows it. Costs: O(p) for diagonal kinds, O(p log p) for circulant (FFT),
+where ``shift`` is a scalar, so estimators can solve systems of the form
+(S + shift I) x = b without ever densifying when the structure allows it.
+Costs: O(p) for diagonal kinds, O(p log p) for circulant (FFT),
 O(p b^2) for bandwidth-b banded, O(p^2)..O(p^3) dense.
 
 All instances are immutable after construction (backing arrays are marked
@@ -47,20 +46,6 @@ def _freeze(a):
     return a
 
 
-def _shift_diag(shift, p):
-    """Normalize a scalar-or-vector shift to either a float or a (p,) array."""
-    if shift is None:
-        return 0.0
-    if isinstance(shift, Diagonal):
-        shift = shift.values
-    if np.ndim(shift) == 0:
-        return float(shift)
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != (p,):
-        raise ValueError(f"shift has shape {shift.shape}, expected scalar or ({p},)")
-    return shift
-
-
 class StructuredMatrix:
     """Base class; concrete kinds implement the dense conversion and fast paths."""
 
@@ -79,12 +64,8 @@ class StructuredMatrix:
     def matvec(self, v):
         raise NotImplementedError
 
-    def matvec_shifted(self, shift, v):
-        v = self._check_vec(v)
-        return self.matvec(v) + _shift_diag(shift, self.p) * v
-
     def solve_shifted(self, shift, b):
-        """Solve (S + diag(shift)) x = b, exploiting structure where possible.
+        """Solve (S + shift I) x = b for a scalar shift, exploiting structure.
 
         Raises ``np.linalg.LinAlgError`` if the shifted matrix is singular or
         indefinite; there is no silent pseudo-inverse fallback.
@@ -101,30 +82,8 @@ class StructuredMatrix:
         """Return a * S as the same structured kind. Requires a >= 0."""
         raise NotImplementedError
 
-    def diagonal(self):
-        return np.diag(self.to_dense())
-
     def to_config(self) -> dict:
         raise NotImplementedError
-
-    # dense fallbacks shared by kinds without a faster path
-
-    def _dense_solve(self, shift, b):
-        b = self._check_vec(b)
-        m = self.to_dense() + np.diag(np.broadcast_to(_shift_diag(shift, self.p), (self.p,)))
-        try:
-            c, low = scipy.linalg.cho_factor(m)
-        except scipy.linalg.LinAlgError as e:
-            raise np.linalg.LinAlgError(f"shifted matrix not positive definite: {e}")
-        return scipy.linalg.cho_solve((c, low), b)
-
-    def _dense_logdet(self, shift):
-        m = self.to_dense() + np.diag(np.broadcast_to(_shift_diag(shift, self.p), (self.p,)))
-        try:
-            c, _ = scipy.linalg.cho_factor(m)
-        except scipy.linalg.LinAlgError as e:
-            raise np.linalg.LinAlgError(f"shifted matrix not positive definite: {e}")
-        return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
 class ScaledIdentity(StructuredMatrix):
@@ -141,13 +100,13 @@ class ScaledIdentity(StructuredMatrix):
 
     def solve_shifted(self, shift, b):
         b = self._check_vec(b)
-        d = self.scale + _shift_diag(shift, self.p)
-        if np.any(np.asarray(d) <= 0):
+        d = self.scale + float(shift)
+        if d <= 0:
             raise np.linalg.LinAlgError("shifted scaled identity is singular or indefinite")
         return b / d
 
     def logdet_shifted(self, shift=0.0):
-        d = self.scale + np.broadcast_to(_shift_diag(shift, self.p), (self.p,))
+        d = np.full(self.p, self.scale + float(shift))
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("shifted scaled identity is singular or indefinite")
         return float(np.sum(np.log(d)))
@@ -159,9 +118,6 @@ class ScaledIdentity(StructuredMatrix):
         if a < 0:
             raise ValueError("scale factor must be nonnegative")
         return ScaledIdentity(self.p, a * self.scale)
-
-    def diagonal(self):
-        return np.full(self.p, self.scale)
 
     def to_config(self):
         return {"kind": "scaled_identity", "dim": self.p, "scale": self.scale}
@@ -182,13 +138,13 @@ class Diagonal(StructuredMatrix):
 
     def solve_shifted(self, shift, b):
         b = self._check_vec(b)
-        d = self.values + _shift_diag(shift, self.p)
+        d = self.values + float(shift)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("shifted diagonal matrix is singular or indefinite")
         return b / d
 
     def logdet_shifted(self, shift=0.0):
-        d = self.values + _shift_diag(shift, self.p)
+        d = self.values + float(shift)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("shifted diagonal matrix is singular or indefinite")
         return float(np.sum(np.log(d)))
@@ -200,9 +156,6 @@ class Diagonal(StructuredMatrix):
         if a < 0:
             raise ValueError("scale factor must be nonnegative")
         return Diagonal(a * self.values)
-
-    def diagonal(self):
-        return self.values.copy()
 
     def to_config(self):
         return {"kind": "diagonal", "values": self.values.tolist()}
@@ -231,10 +184,10 @@ class Banded(StructuredMatrix):
         self._cholesky_ab(0.0)
 
     def _ab(self, shift):
-        """scipy upper-banded storage of self + diag(shift)."""
+        """scipy upper-banded storage of self + shift I."""
         b, p = self.bandwidth, self.p
         ab = np.zeros((b + 1, p))
-        ab[b, :] = self.diagonals[0] + _shift_diag(shift, p)
+        ab[b, :] = self.diagonals[0] + float(shift)
         for k in range(1, b + 1):
             ab[b - k, k:] = self.diagonals[k]
         return ab
@@ -273,9 +226,6 @@ class Banded(StructuredMatrix):
             raise ValueError("scale factor must be nonnegative")
         return Banded([a * d for d in self.diagonals])
 
-    def diagonal(self):
-        return self.diagonals[0].copy()
-
     def to_config(self):
         return {
             "kind": "banded",
@@ -311,19 +261,13 @@ class Circulant(StructuredMatrix):
 
     def solve_shifted(self, shift, b):
         b = self._check_vec(b)
-        s = _shift_diag(shift, self.p)
-        if np.ndim(s) != 0:
-            return self._dense_solve(s, b)  # diagonal shift breaks circulant structure
-        d = self._eig + s
+        d = self._eig + float(shift)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("shifted circulant matrix is singular or indefinite")
         return np.fft.irfft(np.fft.rfft(b) / d, n=self.p)
 
     def logdet_shifted(self, shift=0.0):
-        s = _shift_diag(shift, self.p)
-        if np.ndim(s) != 0:
-            return self._dense_logdet(s)
-        d = self._eig + s
+        d = self._eig + float(shift)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("shifted circulant matrix is singular or indefinite")
         # rfft folds conjugate pairs; unfold multiplicities for the true determinant
@@ -333,10 +277,6 @@ class Circulant(StructuredMatrix):
             mult[-1] = 1.0
         return float(np.sum(mult * np.log(d)))
 
-    def eigenvalues(self):
-        """Full length-p eigenvalue array (Fourier order)."""
-        return np.fft.fft(self.first_row).real
-
     def to_dense(self):
         return scipy.linalg.circulant(self.first_row)  # symmetric: column == row
 
@@ -344,9 +284,6 @@ class Circulant(StructuredMatrix):
         if a < 0:
             raise ValueError("scale factor must be nonnegative")
         return Circulant(a * self.first_row)
-
-    def diagonal(self):
-        return np.full(self.p, self.first_row[0])
 
     def to_config(self):
         return {"kind": "circulant", "first_row": self.first_row.tolist()}
@@ -370,18 +307,22 @@ class Dense(StructuredMatrix):
     def matvec(self, v):
         return self.values @ self._check_vec(v)
 
+    def _chol_shifted(self, shift):
+        """Cholesky factor of S + shift I; the constructor's at shift 0."""
+        shift = float(shift)
+        if shift == 0.0:
+            return self._chol
+        try:
+            return scipy.linalg.cho_factor(self.values + shift * np.eye(self.p))
+        except scipy.linalg.LinAlgError as e:
+            raise np.linalg.LinAlgError(f"shifted matrix not positive definite: {e}")
+
     def solve_shifted(self, shift, b):
         b = self._check_vec(b)
-        s = _shift_diag(shift, self.p)
-        if np.ndim(s) == 0 and s == 0.0:
-            return scipy.linalg.cho_solve(self._chol, b)
-        return self._dense_solve(s, b)
+        return scipy.linalg.cho_solve(self._chol_shifted(shift), b)
 
     def logdet_shifted(self, shift=0.0):
-        s = _shift_diag(shift, self.p)
-        if np.ndim(s) == 0 and s == 0.0:
-            return 2.0 * float(np.sum(np.log(np.diag(self._chol[0]))))
-        return self._dense_logdet(s)
+        return 2.0 * float(np.sum(np.log(np.diag(self._chol_shifted(shift)[0]))))
 
     def to_dense(self):
         return self.values.copy()
@@ -400,8 +341,7 @@ class Kronecker(StructuredMatrix):
 
     Matvecs apply each factor along its own tensor mode. Scalar-shifted solves
     and log-determinants use per-factor eigendecompositions (factors are small
-    by design); a diagonal shift has no Kronecker structure and falls back to
-    the dense path.
+    by design).
     """
 
     def __init__(self, factors):
@@ -447,19 +387,13 @@ class Kronecker(StructuredMatrix):
 
     def solve_shifted(self, shift, b):
         b = self._check_vec(b)
-        s = _shift_diag(shift, self.p)
-        if np.ndim(s) != 0:
-            return self._dense_solve(s, b)
-        d = self._kron_eigs() + s
+        d = self._kron_eigs() + float(shift)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("shifted Kronecker matrix is singular or indefinite")
         return self._rotate(self._rotate(b, transpose=True) / d, transpose=False)
 
     def logdet_shifted(self, shift=0.0):
-        s = _shift_diag(shift, self.p)
-        if np.ndim(s) != 0:
-            return self._dense_logdet(s)
-        d = self._kron_eigs() + s
+        d = self._kron_eigs() + float(shift)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("shifted Kronecker matrix is singular or indefinite")
         return float(np.sum(np.log(d)))

@@ -17,7 +17,7 @@ import elglm.selection as selection_mod
 from elglm.cli import ConfigError, _apply_overrides, _validate, main, run_experiment
 from elglm.el import AnalyticExponential, ELObjective
 from elglm.estimators import fit_exact, mele
-from elglm.families import Gaussian, Poisson
+from elglm.families import Bernoulli, Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, load_dataset, save_dataset
 from elglm.population import (
     CoupledFilterSet,
@@ -29,7 +29,7 @@ from elglm.population import (
 )
 from elglm.risk import RiskSpec, mse_closed_form
 from elglm.sampling import hmc_chain, load_chain, make_potential
-from elglm.selection import gaussian_evidence, laplace_evidence
+from elglm.selection import el_evidence, gaussian_evidence, laplace_evidence
 from elglm.structured import KINDS, Banded, Circulant, Dense, Diagonal, Kronecker, ScaledIdentity
 
 
@@ -498,9 +498,64 @@ def test_select_sweep_matches_direct_evidence(tmp_path, capsys):
     assert lines[0] == "beta,log_evidence"
     assert len(lines) == 4
     for line, beta in zip(lines[1:], cfg["beta_grid"]):
-        want = gaussian_evidence(data, R=ScaledIdentity(p, beta), mode="exact").value
+        want = gaussian_evidence(data, ScaledIdentity(p, beta)).value
         # repr-formatted floats round trip exactly
         assert float(line.split(",")[1]) == want
+
+
+def _sweep(tmp_path, capsys, data, evidence, C=None, name="sweep"):
+    """Run a select sweep over betas 0.5, 2 and 8 on data saved as a stem;
+    returns (exit code, log evidences, stderr)."""
+    stem = str(tmp_path / f"{name}_data")
+    save_dataset(data, stem)
+    cfg = {"seed": 0, "mode": "sweep", "data": {"stem": stem}, "evidence": evidence,
+           "beta_grid": [0.5, 2.0, 8.0]}
+    if C is not None:
+        cfg["C"] = C.to_config()
+    code, out, err = run_cli(
+        capsys, ["select", write_cfg(tmp_path, cfg, f"{name}.json"), "--out-root", str(tmp_path / "out")]
+    )
+    if code != 0:
+        return code, None, err
+    lines = (pathlib.Path(out.strip()) / "sweep.csv").read_text().splitlines()[1:]
+    return code, [float(line.split(",")[1]) for line in lines], err
+
+
+def test_select_el_sweep_matches_el_evidence(tmp_path, capsys):
+    """The el evidence serves Gaussian and Poisson data alike and writes
+    el_evidence's values bit for bit."""
+    rng = np.random.default_rng(7)
+    N, p = 200, 4
+    X = rng.standard_normal((N, p))
+    C = Diagonal(np.linspace(0.8, 1.2, p))
+    for name, family, r in [
+        ("gauss", Gaussian(sigma2=2.0), X @ rng.standard_normal(p) + rng.standard_normal(N)),
+        ("pois", Poisson(), rng.poisson(np.exp(0.4 * X[:, 0] - 0.5)).astype(float)),
+    ]:
+        data = GlmDataset(X, r, family)
+        code, got, _ = _sweep(tmp_path, capsys, data, "el", C=C, name=name)
+        assert code == 0
+        assert got == [el_evidence(data, C, ScaledIdentity(p, b)).value for b in (0.5, 2.0, 8.0)]
+
+
+def test_select_sweep_evidence_config_errors_are_exit_2(tmp_path, capsys):
+    """The retired evidence names fail the schema; an evidence that cannot
+    model the data, or el without C, is a config error before any fit."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((60, 3))
+    pois = GlmDataset(X, rng.poisson(1.0, 60).astype(float), Poisson())
+    bern = GlmDataset(X, (rng.uniform(size=60) < 0.5).astype(float), Bernoulli())
+    C = ScaledIdentity(3, 1.0)
+    cases = [
+        (pois, "gaussian_el", C, "schema"),
+        (pois, "laplace_el", C, "schema"),
+        (pois, "gaussian_exact", C, "Gaussian dataset"),
+        (pois, "el", None, "needs a covariance"),
+        (bern, "el", C, "Gaussian or Poisson"),
+    ]
+    for k, (data, evidence, cov, message) in enumerate(cases):
+        code, _, err = _sweep(tmp_path, capsys, data, evidence, C=cov, name=f"bad{k}")
+        assert code == 2 and "config error" in err and message in err
 
 
 def _count_exact_fits(monkeypatch):
@@ -552,7 +607,7 @@ def test_select_laplace_exact_sweep_is_hessian_free_with_c(tmp_path, capsys, mon
     for line, beta in zip(lines[1:], cfg["beta_grid"]):
         R = ScaledIdentity(p, beta)
         fit = fit_exact(data, R=R, fit_offset=True)
-        want = laplace_evidence(data, R, fit.params, mode="exact", fit_offset=True).value
+        want = laplace_evidence(data, R, fit.params, fit_offset=True).value
         assert float(line.split(",")[1]) == pytest.approx(want, rel=1e-10)
 
 

@@ -480,6 +480,40 @@ def test_fit_exact_newton_cg_takes_one_full_pass_per_step(monkeypatch):
     assert calls["exact_loglik"] == len(fr.objective_trace) == fr.iterations + 1
 
 
+def test_fit_exact_with_c_builds_the_el_system_once(monkeypatch):
+    """The start and the preconditioner of fit_exact(C=) read one EL system:
+    one build of s_f n C + R per fit, and from mele's start the fit is the
+    one that an explicit mele start gives, bit for bit."""
+    rng = np.random.default_rng(28)
+    data = _pois_data(rng, N=400, p=5)
+    C = Dense(_spd(rng, 5))
+    R = ScaledIdentity(5, 2.0)
+    builds = []
+    scaled = Dense.scaled
+
+    def counted(self, a):
+        builds.append(a)
+        return scaled(self, a)
+
+    monkeypatch.setattr(Dense, "scaled", counted)
+    fr = fit_exact(data, R=R, C=C, fit_offset=True)
+    assert builds == [data.N_s]
+    warm = fit_exact(data, R=R, C=C, fit_offset=True, init=mele(data, C, R=R).params)
+    np.testing.assert_array_equal(fr.params.theta, warm.params.theta)
+    assert fr.params.theta0 == warm.params.theta0
+    assert fr.converged and fr.diagnostics["hess_actions"] > 0
+
+
+def test_fit_exact_with_c_on_no_events_raises():
+    """Poisson data with no events have no MAP; with C, fit_exact raises
+    mele's error even when given a start."""
+    X = np.random.default_rng(29).standard_normal((20, 3))
+    empty = GlmDataset(X=X, r=np.zeros(20), family=Poisson(dt=1.0))
+    for init in (None, GlmParams(theta=np.zeros(3), theta0=-1.0)):
+        with pytest.raises(ValueError, match="no events"):
+            fit_exact(empty, R=ScaledIdentity(3, 1.0), C=ScaledIdentity(3, 1.0), init=init)
+
+
 def test_fit_exact_guards():
     rng = np.random.default_rng(15)
     X = rng.standard_normal((4, 6))

@@ -14,7 +14,6 @@ from elglm.risk import (
     _squared_error,
     crossover_rho,
     mc_mse,
-    mp_density,
     mse_asymptotic,
     mse_closed_form,
     optimal_ridge,
@@ -236,7 +235,7 @@ def test_asymptotic_guards():
 
 @pytest.mark.parametrize("rho", [0.25, 0.5, 0.9, 1.0, 2.0])
 def test_mp_moments(rho):
-    law = mp_density(rho)
+    law = MPLaw(rho)
     # total mass 1, E[l] = 1, E[l^2] = 1 + rho
     assert law.expect(lambda l: np.ones_like(np.asarray(l, float))) == pytest.approx(1.0, abs=1e-10)
     assert law.expect(lambda l: l) == pytest.approx(1.0, abs=1e-9)
@@ -244,11 +243,11 @@ def test_mp_moments(rho):
 
 
 def test_mp_density_callable_matches_quad():
-    law = mp_density(0.5)
+    law = MPLaw(0.5)
     mass, _ = scipy.integrate.quad(law, law.a, law.b, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-6)
     assert law(law.a - 0.01) == 0.0 and law(law.b + 0.01) == 0.0
-    big = mp_density(4.0)
+    big = MPLaw(4.0)
     assert big.zero_mass == pytest.approx(0.75)
     mass, _ = scipy.integrate.quad(big, big.a, big.b, limit=200)
     assert mass + big.zero_mass == pytest.approx(1.0, abs=1e-6)
@@ -257,7 +256,7 @@ def test_mp_density_callable_matches_quad():
 def test_mp_inverse_moment_gives_mle_risk():
     # E[1/l] = 1/(1-rho) for rho < 1, so rho E[1/l] is the MLE limit
     rho = 0.35
-    law = mp_density(rho)
+    law = MPLaw(rho)
     assert rho * law.expect(lambda l: 1.0 / l) == pytest.approx(
         mse_asymptotic("mle", rho, 123.0), rel=1e-6
     )
@@ -271,7 +270,7 @@ def test_map_asymptotics():
     )
     # rho > 1 with the zero point mass: bias contributes snr * (1 - 1/rho)
     rho, c = 2.0, 1.0
-    law = mp_density(rho)
+    law = MPLaw(rho)
     cr = c * rho
     want = rho * law.expect(lambda l: l / (l + cr) ** 2) + snr * law.expect(
         lambda l: (l / (l + cr) - 1.0) ** 2

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+import scipy.stats
 
 from elglm.estimators import fit_exact, mele
-from elglm.families import Gaussian, Poisson
+from elglm.families import Bernoulli, Gaussian, Poisson
 from elglm.glm import ExactObjective, GlmDataset, GlmParams, exact_loglik
 from elglm.selection import (
     EvidenceResult,
+    el_evidence,
     el_logF_scalar,
     gaussian_evidence,
     laplace_evidence,
@@ -38,31 +40,39 @@ def _pois_data(rng, N=400, p=4, dt=1.0, rate=0.5):
     return GlmDataset(X=X, r=r, family=Poisson(dt=dt))
 
 
+def _quadratic_evidence(M, b, Rm):
+    """0.5 (b'M^{-1} b + log det R - log det M), densely."""
+    return 0.5 * (
+        b @ np.linalg.solve(M, b) + np.linalg.slogdet(Rm)[1] - np.linalg.slogdet(M)[1]
+    )
+
+
 def test_gaussian_evidence_exact_dense_oracle():
+    # the posterior precision is X'X/sigma2 + R and the statistic X'r/sigma2
     rng = np.random.default_rng(0)
     sigma2 = 1.7
     data = _gauss_data(rng, sigma2=sigma2)
     Rm = _spd(rng, 5)
-    ev = gaussian_evidence(data, R=Dense(Rm))
-    M = data.X.T @ data.X * sigma2 + Rm
-    want = 0.5 * (np.linalg.slogdet(Rm)[1] - np.linalg.slogdet(M)[1])
-    want += data.s @ np.linalg.solve(M, data.s) / (2 * sigma2**2)
+    ev = gaussian_evidence(data, Dense(Rm))
+    want = _quadratic_evidence(data.X.T @ data.X / sigma2 + Rm, data.s / sigma2, Rm)
     assert ev.value == pytest.approx(want, rel=1e-12)
     assert ev.method == "gaussian_exact"
     assert ev.q == pytest.approx(data.s @ data.s)
 
 
 def test_gaussian_evidence_el_dense_oracle():
+    # the EL replaces X'X by N C in the posterior precision N C/sigma2 + R
     rng = np.random.default_rng(1)
     sigma2 = 0.8
     data = _gauss_data(rng, sigma2=sigma2)
     C = Dense(_spd(rng, 5))
     R = Diagonal(np.linspace(1.0, 3.0, 5))
-    ev = gaussian_evidence(data, R=R, mode="el", C=C)
-    M = data.N * C.to_dense() * sigma2 + R.to_dense()
-    want = 0.5 * (np.linalg.slogdet(R.to_dense())[1] - np.linalg.slogdet(M)[1])
-    want += data.s @ np.linalg.solve(M, data.s) / (2 * sigma2**2)
+    ev = el_evidence(data, C, R)
+    want = _quadratic_evidence(
+        data.N * C.to_dense() / sigma2 + R.to_dense(), data.s / sigma2, R.to_dense()
+    )
     assert ev.value == pytest.approx(want, rel=1e-12)
+    assert ev.method == "el"
 
 
 def test_gaussian_evidence_el_equals_exact_at_empirical_C():
@@ -70,35 +80,56 @@ def test_gaussian_evidence_el_equals_exact_at_empirical_C():
     data = _gauss_data(rng, N=60, p=4, sigma2=1.3)
     C = Dense(data.X.T @ data.X / data.N)
     R = ScaledIdentity(4, 2.0)
-    a = gaussian_evidence(data, R=R)
-    b = gaussian_evidence(data, R=R, mode="el", C=C)
+    a = gaussian_evidence(data, R)
+    b = el_evidence(data, C, R)
     assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma2", [0.5, 1.0, 2.0])
+def test_gaussian_evidence_is_the_log_marginal_likelihood(sigma2):
+    """Under theta ~ N(0, R^{-1}), Gaussian data have r ~ N(0, sigma2 I +
+    X R^{-1} X'). The evidence may drop only terms free of R, so its gap to
+    that log density is the same at every ridge; so is the EL evidence's at
+    C = X'X/N."""
+    rng = np.random.default_rng(15)
+    data = _gauss_data(rng, N=40, p=5, sigma2=sigma2)
+    C = Dense(data.X.T @ data.X / data.N)
+    gaps = {"gaussian": [], "el": []}
+    for beta in (0.5, 2.0, 8.0):
+        R = ScaledIdentity(5, beta)
+        cov = sigma2 * np.eye(data.N) + data.X @ data.X.T / beta
+        truth = scipy.stats.multivariate_normal.logpdf(data.r, np.zeros(data.N), cov)
+        gaps["gaussian"].append(gaussian_evidence(data, R).value - truth)
+        gaps["el"].append(el_evidence(data, C, R).value - truth)
+    for gap in gaps.values():
+        assert np.ptp(gap) < 1e-9
 
 
 def test_gaussian_evidence_guards():
     rng = np.random.default_rng(3)
-    data = _gauss_data(rng)
-    with pytest.raises(ValueError, match="R is required"):
-        gaussian_evidence(data)
-    with pytest.raises(ValueError, match="C"):
-        gaussian_evidence(data, R=ScaledIdentity(5, 1.0), mode="el")
-    with pytest.raises(ValueError, match="mode"):
-        gaussian_evidence(data, R=ScaledIdentity(5, 1.0), mode="laplace")
+    R = ScaledIdentity(4, 1.0)
     pdata = _pois_data(rng)
-    with pytest.raises(ValueError, match="sigma2"):
-        gaussian_evidence(pdata, R=ScaledIdentity(4, 1.0))
+    with pytest.raises(ValueError, match="Gaussian data"):
+        gaussian_evidence(pdata, R)
+    bdata = GlmDataset(X=pdata.X, r=np.minimum(pdata.r, 1.0), family=Bernoulli())
+    with pytest.raises(ValueError, match="no closed-form EL"):
+        el_evidence(bdata, ScaledIdentity(4, 1.0), R)
+    empty = GlmDataset(X=pdata.X, r=np.zeros(pdata.N), family=Poisson(dt=1.0))
+    with pytest.raises(ValueError, match="no events"):
+        el_evidence(empty, ScaledIdentity(4, 1.0), R)
 
 
 def test_laplace_equals_gaussian_evidence_quadratic_case():
-    # for the Gaussian family at sigma2=1 the Laplace expansion is exact and
-    # both routes compute the same integral
-    rng = np.random.default_rng(4)
-    data = _gauss_data(rng, N=50, p=4, sigma2=1.0)
-    Rm = Dense(_spd(rng, 4))
-    fit = fit_exact(data, R=Rm)
-    a = laplace_evidence(data, Rm, fit.params)
-    b = gaussian_evidence(data, R=Rm)
-    assert a.value == pytest.approx(b.value, rel=1e-10)
+    # for the Gaussian family the Laplace expansion is exact and both routes
+    # compute the same integral, at any noise variance
+    for sigma2 in (1.0, 2.5):
+        rng = np.random.default_rng(4)
+        data = _gauss_data(rng, N=50, p=4, sigma2=sigma2)
+        Rm = Dense(_spd(rng, 4))
+        fit = fit_exact(data, R=Rm)
+        a = laplace_evidence(data, Rm, fit.params)
+        b = gaussian_evidence(data, Rm)
+        assert a.value == pytest.approx(b.value, rel=1e-10)
 
 
 def test_laplace_exact_vs_quadrature_poisson():
@@ -128,14 +159,14 @@ def test_laplace_exact_vs_quadrature_poisson():
 
 
 def test_laplace_el_profile_dense_oracle():
+    # Poisson data: the profile LNP evidence, the EL's Laplace form at the MPELE
     rng = np.random.default_rng(6)
     data = _pois_data(rng)
     C = Dense(_spd(rng, 4))
     R = ScaledIdentity(4, 1.5)
-    fit = mele(data, C, R=R)
-    ev = laplace_evidence(data, R, fit.params, mode="el", C=C)
+    ev = el_evidence(data, C, R)
     A = data.N_s * C.to_dense() + R.to_dense()
-    th = fit.params.theta
+    th = mele(data, C, R=R).params.theta
     want = (
         -0.5 * th @ A @ th
         + data.s @ th
@@ -143,33 +174,25 @@ def test_laplace_el_profile_dense_oracle():
         - 0.5 * np.linalg.slogdet(A)[1]
     )
     assert ev.value == pytest.approx(want, rel=1e-12)
-    assert ev.method == "laplace_el"
+    assert ev.method == "el"
 
 
 def test_laplace_el_matches_scalar_closed_form():
-    # C = I, R = beta I at the MPELE collapses to el_logF_scalar
+    # C = I, R = beta I collapses the EL evidence to el_logF_scalar
     rng = np.random.default_rng(7)
     data = _pois_data(rng)
     C = ScaledIdentity(4, 1.0)
     for beta in (0.5, 3.0, 20.0):
-        R = ScaledIdentity(4, beta)
-        fit = mele(data, C, R=R)
-        ev = laplace_evidence(data, R, fit.params, mode="el", C=C)
+        ev = el_evidence(data, C, ScaledIdentity(4, beta))
         want = el_logF_scalar(beta, float(data.s @ data.s), data.N_s, data.p)
         assert ev.value == pytest.approx(float(want), rel=1e-12)
 
 
 def test_laplace_guards():
-    rng = np.random.default_rng(8)
-    gdata = _gauss_data(rng)
-    R = ScaledIdentity(5, 1.0)
-    pr = GlmParams(theta=np.zeros(5))
-    with pytest.raises(ValueError, match="C"):
-        laplace_evidence(gdata, R, pr, mode="el")
-    with pytest.raises(ValueError, match="Poisson"):
-        laplace_evidence(gdata, R, pr, mode="el", C=ScaledIdentity(5, 1.0))
-    with pytest.raises(ValueError, match="mode"):
-        laplace_evidence(gdata, R, pr, mode="full")
+    # a posterior Hessian that is not negative definite has no Laplace evidence
+    data = GlmDataset(X=np.zeros((10, 3)), r=np.ones(10), family=Gaussian())
+    with pytest.raises(np.linalg.LinAlgError, match="not negative definite"):
+        laplace_evidence(data, ScaledIdentity(3, 0.0), GlmParams(theta=np.zeros(3)))
 
 
 def test_evidence_result_rejects_nonfinite():
