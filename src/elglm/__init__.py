@@ -64,7 +64,6 @@ from .sampling import (
     hmc_chain,
     laplace_gaussian_chain,
     lnp_el_profile_gaussian,
-    make_potential,
 )
 from .risk import (
     crossover_rho,

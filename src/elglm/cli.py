@@ -1,6 +1,6 @@
 """Batch experiment runner.
 
-Subcommands: fit, select, sample, risk, simulate, population, bench. Each
+Subcommands: fit, select, sample, risk, simulate, population. Each
 takes a JSON config, validates it against a schema, and writes its artifacts
 under out/<experiment>/<timestamp>/ together with a manifest recording the
 seed, config hash, and library versions. Exit codes: 0 success, 2 config
@@ -18,14 +18,13 @@ import json
 import pathlib
 import shutil
 import sys
-import time
 
 import jsonschema
 import numpy as np
 import scipy
 
 from . import __version__
-from .el import AnalyticExponential, AnalyticQuadratic, ELObjective, el_loglik
+from .el import AnalyticExponential, AnalyticQuadratic, ELObjective
 from .estimators import (
     _check_path,
     default_lambda_path,
@@ -35,7 +34,7 @@ from .estimators import (
     mele_l1_path,
 )
 from .families import FAMILIES, Gaussian, Poisson, family_from_config
-from .glm import ExactObjective, GlmDataset, GlmParams, exact_loglik, load_dataset, save_dataset, simulate_responses
+from .glm import ExactObjective, GlmDataset, GlmParams, load_dataset, save_dataset, simulate_responses
 from .population import (
     CoupledFilterSet,
     HistoryBasis,
@@ -51,7 +50,6 @@ from .sampling import (
     chain_summary,
     hmc_chain,
     laplace_gaussian_chain,
-    make_potential,
     save_chain,
     write_summary_csv,
 )
@@ -293,18 +291,6 @@ SCHEMAS = {
             "pcg_budget": {"type": "integer", "minimum": 0},
         },
     },
-    "bench": {
-        "type": "object",
-        "required": ["mode"],
-        "properties": {
-            "seed": {"type": "integer"},
-            "experiment": {"type": "string"},
-            "mode": {"enum": ["el_scaling"]},
-            "N_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            "p": {"type": "integer", "minimum": 1},
-            "repeats": {"type": "integer", "minimum": 1},
-        },
-    },
 }
 for _schema in SCHEMAS.values():
     _schema["$defs"] = {"matrix": _MATRIX}
@@ -533,20 +519,6 @@ def _run_select(cfg: dict, outdir: pathlib.Path, seed: int):
     return ["sweep.csv"]
 
 
-def _build_potentials(data, C, R, fit_offset):
-    exact_obj = ExactObjective(data, fit_offset=fit_offset, R=R)
-    if isinstance(data.family, Gaussian):
-        engine = AnalyticQuadratic(C)
-    elif isinstance(data.family, Poisson):
-        engine = AnalyticExponential(C)
-    else:
-        raise ConfigError("sampling setup supports Gaussian and Poisson datasets")
-    init_fit = mele(data, C)
-    el_obj = ELObjective(engine, data, fit_offset=fit_offset, R=R)
-    x0 = exact_obj.vector(init_fit.params)
-    return exact_obj, make_potential(exact_obj), make_potential(el_obj), x0
-
-
 def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
     data, C_true, _ = _resolve_dataset(cfg["data"], seed)
     C = structured_from_config(cfg["C"]) if "C" in cfg else C_true
@@ -554,32 +526,37 @@ def _run_sample(cfg: dict, outdir: pathlib.Path, seed: int):
     R = structured_from_config(cfg["R"]) if "R" in cfg else None
     fit_offset = cfg.get("fit_offset", False)
     draws = cfg["draws"]
-    step = cfg.get("step", 0.01)
-    n_leapfrog = cfg.get("n_leapfrog", 20)
-    burn_in = cfg.get("burn_in")
-    if target == "laplace-gaussian":
-        fit = fit_exact(data, R=R, fit_offset=fit_offset, C=C)
-        obj = ExactObjective(data, fit_offset=fit_offset, R=R)
-        x = obj.vector(fit.params)
-        chain = laplace_gaussian_chain(x, -obj.hess_dense(x), draws, seed=seed)
-    else:
+    # only the EL side needs C, and its closed-form engine; checked before the fit
+    if target in ("el", "surrogate"):
         if C is None:
-            raise ConfigError("sampling needs a covariance C for the EL side and the init")
-        exact_obj, u_exact, u_el, x0 = _build_potentials(data, C, R, fit_offset)
+            raise ConfigError(f"target {target!r} needs a covariance: give 'C' in the config")
+        if isinstance(data.family, Gaussian):
+            engine = AnalyticQuadratic(C)
+        elif isinstance(data.family, Poisson):
+            engine = AnalyticExponential(C)
+        else:
+            raise ConfigError(f"target {target!r} needs a Gaussian or Poisson dataset")
+        el = ELObjective(engine, data, fit_offset=fit_offset, R=R)
+    # every target starts at the exact MAP: truncated Newton with C, dense
+    # Newton from zero without it
+    fit = fit_exact(data, R=R, fit_offset=fit_offset, C=C)
+    exact = ExactObjective(data, fit_offset=fit_offset, R=R)
+    x = exact.vector(fit.params)
+    if target == "laplace-gaussian":
+        chain = laplace_gaussian_chain(x, -exact.hess_dense(x), draws, seed=seed)
+    else:
         if target == "exact":
             # single-precision leapfrog force; the float64 Metropolis test
             # keeps the chain on the exact posterior
-            chain = hmc_chain(
-                u_exact, x0, step, n_leapfrog, draws, burn_in, seed, "exact",
-                force=lambda x: -exact_obj.grad32(x),
-            )
+            energy, force = (lambda z: -exact.value(z)), (lambda z: -exact.grad32(z))
         elif target == "el":
-            chain = hmc_chain(u_el, x0, step, n_leapfrog, draws, burn_in, seed, "el")
-        else:
-            # EL-gradient force, exact Metropolis test
-            chain = hmc_chain(
-                u_exact, x0, step, n_leapfrog, draws, burn_in, seed, "surrogate", force=u_el.grad
-            )
+            energy, force = (lambda z: -el.value(z)), (lambda z: -el.grad(z))
+        else:  # surrogate: EL-gradient force, exact Metropolis test
+            energy, force = (lambda z: -exact.value(z)), (lambda z: -el.grad(z))
+        chain = hmc_chain(
+            energy, force, x, cfg.get("step", 0.01), cfg.get("n_leapfrog", 20), draws,
+            cfg.get("burn_in"), seed, target,
+        )
     save_chain(outdir / "chain", chain)
     write_summary_csv(outdir / "summary.csv", chain_summary(chain))
     return ["chain.bin", "chain.json", "summary.csv"]
@@ -735,38 +712,6 @@ def _run_population(cfg: dict, outdir: pathlib.Path, seed: int):
     return outputs
 
 
-def _median_time(fn, repeats):
-    best = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best.append(time.perf_counter() - t0)
-    return float(np.median(best))
-
-
-def _run_bench(cfg: dict, outdir: pathlib.Path, seed: int):
-    """Mode ``el_scaling``: EL and exact evaluation times over an N grid."""
-    rng = np.random.default_rng(seed)
-    repeats = cfg.get("repeats", 5)
-    p = cfg.get("p", 100)
-    N_grid = cfg.get("N_grid", [1000, 10000, 100000])
-    theta = rng.standard_normal(p) / np.sqrt(p)
-    params = GlmParams(theta0=0.0, theta=theta)
-    C = ScaledIdentity(p, 1.0)
-    engine = AnalyticExponential(C)
-    fam = Poisson()
-    rows = []
-    for N in N_grid:
-        X = rng.standard_normal((N, p))
-        r = simulate_responses(fam, X, params, seed=int(rng.integers(2**31)))
-        data = GlmDataset(X, r, fam)
-        t_el = _median_time(lambda: el_loglik(engine, data, params), repeats)
-        t_exact = _median_time(lambda: exact_loglik(data, params), repeats)
-        rows.append((N, t_el, t_exact, t_exact / t_el))
-    _write_csv(outdir / "bench.csv", ["N", "t_el", "t_exact", "speedup"], rows)
-    return ["bench.csv"]
-
-
 _RUNNERS = {
     "fit": _run_fit,
     "select": _run_select,
@@ -774,7 +719,6 @@ _RUNNERS = {
     "risk": _run_risk,
     "simulate": _run_simulate,
     "population": _run_population,
-    "bench": _run_bench,
 }
 
 

@@ -2,7 +2,8 @@
 
 The dataset caches the sufficient statistics s = X'r, N_s = sum(r), N once,
 which is all the linear term of the likelihood ever needs; the nonlinear term
-is what the EL approximation targets.
+is what the EL approximation targets. It also caches X'X on first use, for
+the exact Gaussian evidence.
 
 Likelihood values are reported up to const(theta): per-datum terms that do
 not involve (theta0, theta), e.g. -log r_n! or -r_n^2/(2 sigma^2), are
@@ -12,6 +13,7 @@ dropped consistently across families and likelihood modes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 
@@ -63,6 +65,8 @@ class GlmDataset:
         X' r, the only data contraction the EL ever needs.
     N_s : float
         Total response sum (spike count for point-process families).
+    gram : ndarray, shape (p, p)
+        X' X, computed on first use.
     """
 
     def __init__(self, X, r, family: CanonicalFamily):
@@ -84,6 +88,13 @@ class GlmDataset:
         self.s = X.T @ r
         self.s.setflags(write=False)
         self.N_s = float(np.sum(r))
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """X'X, computed on first use; X is read-only, so it never goes stale."""
+        gram = self.X.T @ self.X
+        gram.setflags(write=False)
+        return gram
 
     def __repr__(self):
         return f"GlmDataset(N={self.N}, p={self.p}, family={self.family!r})"

@@ -1,21 +1,30 @@
 """Hamiltonian Monte Carlo over exact and EL posteriors.
 
-Unit mass matrix throughout. A chain scores its Metropolis test, and stores
-its energies, with its potential U in float64, and moves along leapfrog
-trajectories driven by a force x -> gradU(x). By default the force is U's own
-gradient; a chain may take it from another callable instead:
+Unit mass matrix throughout. A chain takes two plain callables:
 
-- the surrogate chain (target ``"surrogate"``) uses the EL gradient,
-  ``force=make_potential(el_objective).grad``, so its trajectories cost O(p)
-  per step;
+- ``energy(x) -> U``, the potential (a negative log posterior), which scores
+  the Metropolis test and the stored energies in float64;
+- ``force(x) -> gradU``, which drives the leapfrog trajectories.
+
+For a log-posterior objective the pair is ``lambda x: -obj.value(x)`` and
+``lambda x: -obj.grad(x)``, and the prior is the objective's ridge ``R``. The
+force may come from another callable:
+
 - the CLI's exact chain uses the exact gradient computed in single precision
-  (``ExactObjective.grad32``), which reads half the bytes per step.
+  (``ExactObjective.grad32``), which reads half the bytes per step;
+- its surrogate chain (target ``"surrogate"``) uses the EL gradient, so its
+  trajectories cost O(p) per step.
 
 Any force that is a deterministic function of x keeps the leapfrog flow
 reversible and volume preserving, so the Metropolis test against the
-float64 Hamiltonian leaves the exact posterior invariant (Neal 2011,
+float64 Hamiltonian leaves the energy's posterior invariant (Neal 2011,
 *MCMC using Hamiltonian dynamics*); a force that disagrees with gradU costs
 acceptance, not exactness.
+
+A trajectory diverges when its force, or the energy at its end point, raises
+``FloatingPointError`` (an overflowing exp, say). The chain rejects that
+proposal and counts it in ``Chain.divergences``. A non-finite energy or force
+at the initial point still raises.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ __all__ = [
     "hmc_chain",
     "laplace_gaussian_chain",
     "chain_summary",
-    "make_potential",
     "lnp_el_profile_gaussian",
     "save_chain",
     "load_chain",
@@ -55,6 +63,7 @@ class Chain:
     step: float = np.nan
     n_leapfrog: int = 0
     burn_in: int = 0
+    divergences: int = 0  # proposals rejected because their trajectory diverged
 
     def __post_init__(self):
         if not 0.0 <= self.acceptance_rate <= 1.0:
@@ -73,21 +82,19 @@ def _leapfrog(grad_u, x, rho, step, n_steps, g0):
     return x, rho, g
 
 
-def _value_of(potential):
-    """x -> U(x): the potential's ``.value`` pass if it has one (see
-    make_potential), else the first entry of its (U, gradU) pair."""
-    return getattr(potential, "value", None) or (lambda z: potential(z)[0])
-
-
-def _grad_of(potential):
-    """x -> gradU(x): the potential's ``.grad`` pass if it has one, else the
-    second entry of its (U, gradU) pair."""
-    return getattr(potential, "grad", None) or (lambda z: potential(z)[1])
-
-
-def _run_chain(energy, force, init, step, n_leapfrog, draws, burn_in, seed, target):
-    """energy(x) -> U scores the Metropolis test and the stored energies;
-    force(x) -> gradU drives the leapfrog trajectories."""
+def hmc_chain(
+    energy,
+    force,
+    init,
+    step: float = 0.01,
+    n_leapfrog: int = 20,
+    draws: int = 1000,
+    burn_in: int = None,
+    seed: int = 0,
+    target: str = "exact",
+) -> Chain:
+    """Standard HMC: energy(x) -> U scores the Metropolis test and the stored
+    energies; force(x) -> gradU drives the leapfrog trajectories."""
     x = np.asarray(init, dtype=float).copy()
     dim = x.size
     if burn_in is None:
@@ -100,14 +107,18 @@ def _run_chain(energy, force, init, step, n_leapfrog, draws, burn_in, seed, targ
     total = draws + burn_in
     samples = np.empty((draws, dim))
     energies = np.empty(draws)
-    accepted = 0
+    accepted = divergences = 0
     for i in range(total):
         rho = rng.standard_normal(dim)
         h_cur = u_cur + 0.5 * float(rho @ rho)
-        x_new, rho_new, g_new = _leapfrog(force, x, rho, step, n_leapfrog, g)
-        u_new = energy(x_new)
-        h_new = u_new + 0.5 * float(rho_new @ rho_new)
-        log_alpha = h_cur - h_new
+        try:
+            x_new, rho_new, g_new = _leapfrog(force, x, rho, step, n_leapfrog, g)
+            u_new = energy(x_new)
+        except FloatingPointError:
+            divergences += 1
+            log_alpha = -np.inf
+        else:
+            log_alpha = h_cur - (u_new + 0.5 * float(rho_new @ rho_new))
         if np.isfinite(log_alpha) and np.log(rng.uniform()) < log_alpha:
             x, g, u_cur = x_new, g_new, u_new
             accepted += 1
@@ -123,37 +134,7 @@ def _run_chain(energy, force, init, step, n_leapfrog, draws, burn_in, seed, targ
         step=step,
         n_leapfrog=n_leapfrog,
         burn_in=burn_in,
-    )
-
-
-def hmc_chain(
-    neg_log_posterior,
-    init,
-    step: float = 0.01,
-    n_leapfrog: int = 20,
-    draws: int = 1000,
-    burn_in: int = None,
-    seed: int = 0,
-    target: str = "exact",
-    force=None,
-) -> Chain:
-    """Standard HMC. neg_log_posterior(x) -> (value, gradient).
-
-    ``force(x)``, if given, replaces the potential's gradient in the leapfrog
-    steps (for example ``lambda x: -objective.grad32(x)``, or the EL
-    potential's ``.grad`` for the surrogate chain); the Metropolis test keeps
-    the potential's value, so the chain still targets it.
-    """
-    return _run_chain(
-        _value_of(neg_log_posterior),
-        _grad_of(neg_log_posterior) if force is None else force,
-        init,
-        step,
-        n_leapfrog,
-        draws,
-        burn_in,
-        seed,
-        target,
+        divergences=divergences,
     )
 
 
@@ -195,21 +176,6 @@ def chain_summary(chain: Chain, coordinates=None) -> dict:
     }
 
 
-def make_potential(objective):
-    """Negative log posterior (value, gradient) from a log-posterior objective;
-    the prior is the objective's ridge ``R``. The callable also carries
-    ``.value`` and ``.grad``, the objective's partial passes negated, which
-    the chains use where they need only one of the two."""
-
-    def f(x):
-        val, grad = objective.value_grad(x)
-        return -val, -grad
-
-    f.value = lambda x: -objective.value(x)
-    f.grad = lambda x: -objective.grad(x)
-    return f
-
-
 def lnp_el_profile_gaussian(data, C: StructuredMatrix):
     """Flat-prior LNP EL posterior with the offset integrated out: theta is
     exactly N(mpele, (N_s C)^{-1}), mean and precision the EL's closed-form
@@ -234,6 +200,8 @@ def save_chain(stem, chain: Chain) -> None:
         "step": chain.step,
         "n_leapfrog": chain.n_leapfrog,
         "burn_in": chain.burn_in,
+        # only a chain with trajectories can diverge; the Laplace draws have none
+        **({"divergences": chain.divergences} if chain.n_leapfrog else {}),
         "energies": chain.energies.tolist(),
     }
     stem.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
@@ -253,6 +221,7 @@ def load_chain(stem) -> Chain:
         step=manifest["step"],
         n_leapfrog=manifest["n_leapfrog"],
         burn_in=manifest["burn_in"],
+        divergences=manifest.get("divergences", 0),
     )
 
 

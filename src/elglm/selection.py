@@ -69,11 +69,11 @@ def _quadratic_evidence(data: GlmDataset, M, b, R, method: str) -> EvidenceResul
 def gaussian_evidence(data: GlmDataset, R: StructuredMatrix) -> EvidenceResult:
     """Exact log evidence of Gaussian data under the prior N(0, R^{-1}): the
     quadratic evidence of (M, b) = (s_f X'X + R, s_f X'r), s_f = 1/sigma^2,
-    with M factored once as a ``Dense``."""
+    with M factored once as a ``Dense``; X'X is the dataset's cached ``gram``."""
     if not isinstance(data.family, Gaussian):
         raise ValueError(f"the exact Gaussian evidence needs Gaussian data, not {data.family.name}")
     scale = data.family.scale
-    M = Dense(scale * (data.X.T @ data.X) + R.to_dense())
+    M = Dense(scale * data.gram + R.to_dense())
     return _quadratic_evidence(data, M, scale * data.s, R, "gaussian_exact")
 
 

@@ -33,7 +33,7 @@ from elglm.population import (
     stagewise_population_fit,
 )
 from elglm.risk import RiskSpec, crossover_rho, mc_mse, mse_asymptotic, mse_closed_form
-from elglm.sampling import hmc_chain, lnp_el_profile_gaussian, make_potential
+from elglm.sampling import hmc_chain, lnp_el_profile_gaussian
 from elglm.selection import el_logF_scalar, rhat_analytic
 from elglm.simulate import StimulusSpec, ar1_covariance, gen_coupled_population, gen_stimuli
 from elglm.structured import Dense, Diagonal, ScaledIdentity
@@ -325,14 +325,16 @@ def test_criterion_08_el_hmc_against_exact_hmc_and_profile():
     data = GlmDataset(X, r, Poisson())
     C = ScaledIdentity(p, 1.0)
 
-    u_exact = make_potential(ExactObjective(data, fit_offset=True))
-    u_el = make_potential(ELObjective(AnalyticExponential(C), data, fit_offset=True))
+    exact = ExactObjective(data, fit_offset=True)
+    el = ELObjective(AnalyticExponential(C), data, fit_offset=True)
+    u_exact, f_exact = (lambda x: -exact.value(x)), (lambda x: -exact.grad(x))
+    u_el, f_el = (lambda x: -el.value(x)), (lambda x: -el.grad(x))
     init = mele(data, C).params
     x0 = np.concatenate(([init.theta0], init.theta))
 
-    ch_ex = hmc_chain(u_exact, x0, 0.010, 30, 2500, 300, 5, "exact")
-    ch_el = hmc_chain(u_el, x0, 0.010, 30, 2500, 300, 6, "el")
-    ch_su = hmc_chain(u_exact, x0, 0.010, 30, 600, 100, 7, "surrogate", force=u_el.grad)
+    ch_ex = hmc_chain(u_exact, f_exact, x0, 0.010, 30, 2500, 300, 5, "exact")
+    ch_el = hmc_chain(u_el, f_el, x0, 0.010, 30, 2500, 300, 6, "el")
+    ch_su = hmc_chain(u_exact, f_el, x0, 0.010, 30, 600, 100, 7, "surrogate")
     assert ch_ex.acceptance_rate > 0.5 and ch_el.acceptance_rate > 0.5
 
     q_ex = np.percentile(ch_ex.samples, [2.5, 97.5], axis=0)

@@ -28,7 +28,7 @@ from elglm.population import (
     load_population,
 )
 from elglm.risk import RiskSpec, mse_closed_form
-from elglm.sampling import hmc_chain, load_chain, make_potential
+from elglm.sampling import hmc_chain, load_chain
 from elglm.selection import el_evidence, gaussian_evidence, laplace_evidence
 from elglm.structured import KINDS, Banded, Circulant, Dense, Diagonal, Kronecker, ScaledIdentity
 
@@ -559,7 +559,7 @@ def test_select_sweep_evidence_config_errors_are_exit_2(tmp_path, capsys):
 
 
 def _count_exact_fits(monkeypatch):
-    """Record the method of every fit_exact call the select runner makes, and
+    """Record the method of every fit_exact call the CLI runners make, and
     count the dense Hessians built."""
     log = {"methods": [], "hess_dense": 0}
 
@@ -734,10 +734,10 @@ def test_sample_el_hmc(tmp_path, capsys):
 
 def test_sample_exact_hmc_energies_are_the_float64_potential(tmp_path, capsys):
     """The exact chain leapfrogs on the single-precision force (it is the
-    library chain driven by ExactObjective.grad32, byte for byte), but its
-    manifest's energies are the float64 negative log posterior at the
-    retained draws. The surrogate target is the same library chain with the
-    EL gradient as its force."""
+    library chain driven by ExactObjective.grad32 from the exact MAP, byte
+    for byte), but its manifest's energies are the float64 negative log
+    posterior at the retained draws. The surrogate target is the same
+    library chain with the EL gradient as its force."""
     rng = np.random.default_rng(21)
     N, p = 300, 4
     X = rng.standard_normal((N, p))
@@ -766,20 +766,108 @@ def test_sample_exact_hmc_energies_are_the_float64_potential(tmp_path, capsys):
     obj = ExactObjective(load_dataset(stem), fit_offset=True, R=ScaledIdentity(p, 1.0))
     want = np.array([-obj.value(x) for x in chain.samples])
     np.testing.assert_array_equal(chain.energies, want)
-    init = mele(obj.data, ScaledIdentity(p, 1.0)).params
+    init = fit_exact(obj.data, R=ScaledIdentity(p, 1.0), fit_offset=True, C=ScaledIdentity(p, 1.0)).params
     x0 = np.concatenate(([init.theta0], init.theta))
-    u = make_potential(obj)
-    lib = hmc_chain(u, x0, 0.02, 8, 30, 5, 3, "exact", force=lambda x: -obj.grad32(x))
+    u = lambda x: -obj.value(x)
+    lib = hmc_chain(u, lambda x: -obj.grad32(x), x0, 0.02, 8, 30, 5, 3, "exact")
     assert chain.samples.tobytes() == lib.samples.tobytes()
-    assert chain.samples.tobytes() != hmc_chain(u, x0, 0.02, 8, 30, 5, 3).samples.tobytes()
+    assert chain.samples.tobytes() != hmc_chain(u, lambda x: -obj.grad(x), x0, 0.02, 8, 30, 5, 3).samples.tobytes()
     code, out, _ = run_cli(capsys, ["sample", write_cfg(tmp_path, {**cfg, "target": "surrogate"}),
                                     "--out-root", str(tmp_path / "out")])
     el = ELObjective(AnalyticExponential(ScaledIdentity(p, 1.0)), obj.data, fit_offset=True,
                      R=ScaledIdentity(p, 1.0))
-    lib = hmc_chain(u, x0, 0.02, 8, 30, 5, 3, "surrogate", force=make_potential(el).grad)
+    lib = hmc_chain(u, lambda x: -el.grad(x), x0, 0.02, 8, 30, 5, 3, "surrogate")
     surrogate = load_chain(pathlib.Path(out.strip()) / "chain")
     assert code == 0 and surrogate.samples.tobytes() == lib.samples.tobytes()
 
+
+
+def _heavy_row_stem(tmp_path, p=4):
+    """A small Poisson set whose first row is long and points along the
+    filter, with a count of 20: the MPELE puts a large rate on that row,
+    and the exact posterior does not."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((200, p))
+    theta = np.full(p, 0.5 / np.sqrt(p))
+    r = rng.poisson(np.exp(-0.7 + X @ theta)).astype(float)
+    X[0] = 10.0 * theta / np.linalg.norm(theta)
+    r[0] = 20.0
+    stem = str(tmp_path / "heavy")
+    save_dataset(GlmDataset(X, r, Poisson()), stem)
+    return stem
+
+
+def test_sample_exact_chain_starts_at_the_map_on_a_heavy_row(tmp_path, capsys):
+    """From the MPELE, the exact chain's first trajectories overflow exp on
+    the heavy row at the default step; from the exact MAP it runs."""
+    p = 4
+    cfg = {
+        "seed": 2,
+        "data": {"stem": _heavy_row_stem(tmp_path, p)},
+        "C": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+        "target": "exact",
+        "draws": 40,
+        "fit_offset": True,
+    }
+    code, out, err = run_cli(capsys, ["sample", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 0, err
+    chain = load_chain(pathlib.Path(out.strip()) / "chain")
+    assert chain.acceptance_rate > 0.5
+    assert np.all(np.isfinite(chain.samples))
+
+
+def test_sample_makes_one_exact_fit_and_only_the_el_side_needs_c(tmp_path, capsys, monkeypatch):
+    """Every target starts at one fit_exact call. On stored data (no C) the
+    exact and Laplace targets run on dense Newton from zero; the el and
+    surrogate targets are config errors before any fit."""
+    p = 4
+    base = {
+        "seed": 2,
+        "data": {"stem": _heavy_row_stem(tmp_path, p)},
+        "draws": 10,
+        "fit_offset": True,
+        "R": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+    }
+    C = {"kind": "scaled_identity", "dim": p, "scale": 1.0}
+    log = _count_exact_fits(monkeypatch)
+    for target in ("exact", "el", "surrogate", "laplace-gaussian"):
+        log["methods"].clear()
+        cfg = {**base, "C": C, "target": target}
+        code, _, err = run_cli(capsys, ["sample", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+        assert code == 0, (target, err)
+        assert log["methods"] == ["newton_cg"], target
+    for target, want_code, want_methods in (
+        ("exact", 0, ["newton"]),
+        ("laplace-gaussian", 0, ["newton"]),
+        ("el", 2, []),
+        ("surrogate", 2, []),
+    ):
+        log["methods"].clear()
+        cfg = {**base, "target": target}
+        code, _, err = run_cli(capsys, ["sample", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+        assert code == want_code, (target, err)
+        assert log["methods"] == want_methods, target
+    assert "needs a covariance" in err
+
+
+def test_sample_el_targets_refuse_families_without_a_closed_form(tmp_path, capsys, monkeypatch):
+    cfg = {
+        "seed": 2,
+        "data": {
+            "simulate": {
+                "stimulus": {"kind": "gaussian_iid", "N": 100, "p": 3},
+                "family": {"family": "bernoulli"},
+            }
+        },
+        "draws": 10,
+    }
+    log = _count_exact_fits(monkeypatch)
+    for target in ("el", "surrogate"):
+        code, _, err = run_cli(
+            capsys, ["sample", write_cfg(tmp_path, {**cfg, "target": target}), "--out-root", str(tmp_path / "out")]
+        )
+        assert code == 2 and "Gaussian or Poisson" in err
+    assert log["methods"] == []
 
 def test_risk_kinds_share_each_cells_draws(tmp_path, capsys):
     """Every kind of a risk cell sees the same Monte Carlo draws: at c = 0 the
@@ -892,11 +980,3 @@ def test_population_scores_every_lambda_on_one_design_per_neuron(tmp_path, monke
         ]
         assert float(row["mean_bits_per_s"]) == float(np.mean(bits))
 
-
-def test_bench_el_scaling(tmp_path, capsys):
-    cfg = {"seed": 1, "mode": "el_scaling", "p": 6, "N_grid": [400], "repeats": 1}
-    code, out, _ = run_cli(capsys, ["bench", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
-    assert code == 0
-    lines = (pathlib.Path(out.strip()) / "bench.csv").read_text().splitlines()
-    assert lines[0] == "N,t_el,t_exact,speedup"
-    assert len(lines) == 2

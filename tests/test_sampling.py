@@ -15,7 +15,6 @@ from elglm.sampling import (
     laplace_gaussian_chain,
     lnp_el_profile_gaussian,
     load_chain,
-    make_potential,
     save_chain,
     write_summary_csv,
 )
@@ -23,15 +22,18 @@ from elglm.structured import Dense, ScaledIdentity
 
 
 def _quad_potential(prec, mean):
+    """(energy, force) of the Gaussian target N(mean, prec^{-1})."""
     prec = np.asarray(prec, dtype=float)
     mean = np.asarray(mean, dtype=float)
 
-    def u(x):
+    def energy(x):
         d = x - mean
-        g = prec @ d
-        return 0.5 * float(d @ g), g
+        return 0.5 * float(d @ (prec @ d))
 
-    return u
+    def force(x):
+        return prec @ (x - mean)
+
+    return energy, force
 
 
 def test_leapfrog_reversible():
@@ -39,8 +41,7 @@ def test_leapfrog_reversible():
     from elglm.sampling import _leapfrog
 
     prec = np.array([[2.0, 0.3], [0.3, 1.0]])
-    u = _quad_potential(prec, np.zeros(2))
-    grad = lambda x: u(x)[1]
+    _, grad = _quad_potential(prec, np.zeros(2))
     rng = np.random.default_rng(0)
     x0, r0 = rng.standard_normal(2), rng.standard_normal(2)
     x1, r1, _ = _leapfrog(grad, x0, r0, 0.1, 25, grad(x0))
@@ -54,7 +55,7 @@ def test_hmc_recovers_gaussian_target():
     mean = np.array([0.7, -0.3])
     cov = np.linalg.inv(prec)
     chain = hmc_chain(
-        _quad_potential(prec, mean), np.zeros(2), step=0.35, n_leapfrog=12,
+        *_quad_potential(prec, mean), np.zeros(2), step=0.35, n_leapfrog=12,
         draws=4000, seed=3,
     )
     assert chain.acceptance_rate > 0.9
@@ -69,35 +70,32 @@ def test_hmc_recovers_gaussian_target():
 
 def test_hmc_deterministic_by_seed():
     u = _quad_potential(np.eye(2), np.zeros(2))
-    a = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=5, draws=50, seed=11)
-    b = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=5, draws=50, seed=11)
-    c = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=5, draws=50, seed=12)
+    a = hmc_chain(*u, np.zeros(2), step=0.3, n_leapfrog=5, draws=50, seed=11)
+    b = hmc_chain(*u, np.zeros(2), step=0.3, n_leapfrog=5, draws=50, seed=11)
+    c = hmc_chain(*u, np.zeros(2), step=0.3, n_leapfrog=5, draws=50, seed=12)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_hmc_burn_in_default_and_override():
     u = _quad_potential(np.eye(1), np.zeros(1))
-    chain = hmc_chain(u, np.zeros(1), draws=200, seed=0)
+    chain = hmc_chain(*u, np.zeros(1), draws=200, seed=0)
     assert chain.burn_in == 20
     assert chain.samples.shape[0] == 200
-    chain2 = hmc_chain(u, np.zeros(1), draws=30, burn_in=5, seed=0)
+    chain2 = hmc_chain(*u, np.zeros(1), draws=30, burn_in=5, seed=0)
     assert chain2.burn_in == 5
 
 
 def test_hmc_nonfinite_init_raises():
-    def bad(x):
-        return np.inf, np.zeros_like(x)
-
     with pytest.raises(FloatingPointError, match="non-finite"):
-        hmc_chain(bad, np.zeros(2), draws=5)
+        hmc_chain(lambda x: np.inf, np.zeros_like, np.zeros(2), draws=5)
 
 
 def test_energies_track_current_point():
     prec = np.eye(2) * 1.5
-    u = _quad_potential(prec, np.zeros(2))
-    chain = hmc_chain(u, np.zeros(2), step=0.4, n_leapfrog=8, draws=100, seed=5)
-    want = np.array([u(x)[0] for x in chain.samples])
+    energy, force = _quad_potential(prec, np.zeros(2))
+    chain = hmc_chain(energy, force, np.zeros(2), step=0.4, n_leapfrog=8, draws=100, seed=5)
+    want = np.array([energy(x) for x in chain.samples])
     assert np.allclose(chain.energies, want, atol=1e-12)
 
 
@@ -106,11 +104,11 @@ def test_surrogate_targets_exact_not_el():
     # exact one, so the retained samples must match the exact target
     prec_exact = np.array([[1.0]])
     prec_el = np.array([[1.8]])
-    u_el = _quad_potential(prec_el, np.zeros(1))
-    u_ex = _quad_potential(prec_exact, np.zeros(1))
+    _, force_el = _quad_potential(prec_el, np.zeros(1))
+    energy_ex, _ = _quad_potential(prec_exact, np.zeros(1))
     chain = hmc_chain(
-        u_ex, np.zeros(1), step=0.5, n_leapfrog=10, draws=6000, seed=7,
-        target="surrogate", force=lambda x: u_el(x)[1],
+        energy_ex, force_el, np.zeros(1), step=0.5, n_leapfrog=10, draws=6000, seed=7,
+        target="surrogate",
     )
     var = chain.samples.var()
     assert abs(var - 1.0) < 0.12          # exact variance, not 1/1.8
@@ -121,9 +119,9 @@ def test_surrogate_targets_exact_not_el():
 
 def test_surrogate_equals_hmc_when_potentials_match():
     u = _quad_potential(np.array([[1.2, 0.2], [0.2, 0.9]]), np.ones(2))
-    a = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=6, draws=80, seed=9)
-    b = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=6, draws=80, seed=9,
-                  target="surrogate", force=lambda x: u(x)[1])
+    a = hmc_chain(*u, np.zeros(2), step=0.3, n_leapfrog=6, draws=80, seed=9)
+    b = hmc_chain(*u, np.zeros(2), step=0.3, n_leapfrog=6, draws=80, seed=9,
+                  target="surrogate")
     assert np.array_equal(a.samples, b.samples)
     assert a.acceptance_rate == b.acceptance_rate
 
@@ -172,7 +170,7 @@ def test_chain_summary_quantiles():
         chain_summary(empty)
 
 
-def test_make_potential_prior_and_flat_offset():
+def test_el_potential_prior_and_flat_offset():
     rng = np.random.default_rng(11)
     N, p = 60, 3
     X = rng.standard_normal((N, p))
@@ -181,22 +179,22 @@ def test_make_potential_prior_and_flat_offset():
     C = Dense(X.T @ X / N)
     obj = ELObjective(AnalyticExponential(C), data, fit_offset=True)
     R = ScaledIdentity(p, 2.5)
-    u_flat = make_potential(obj)
-    u_pri = make_potential(ELObjective(AnalyticExponential(C), data, fit_offset=True, R=R))
+    pri = ELObjective(AnalyticExponential(C), data, fit_offset=True, R=R)
     x = 0.1 * rng.standard_normal(p + 1)
-    v0, g0 = u_flat(x)
-    v1, g1 = u_pri(x)
+    v0, g0 = -obj.value(x), -obj.grad(x)
+    v1, g1 = -pri.value(x), -pri.grad(x)
     th = x[1:]
     assert v1 - v0 == pytest.approx(0.5 * 2.5 * float(th @ th), rel=1e-12)
     assert g1[0] == pytest.approx(g0[0])  # offset coordinate stays flat
     assert np.allclose(g1[1:] - g0[1:], 2.5 * th)
     # sign: potential is the negative log posterior
-    assert v0 == pytest.approx(-obj.value(x), rel=1e-12)
+    assert v0 == pytest.approx(-obj.value_grad(x)[0], rel=1e-12)
 
 
 def test_partial_pass_potentials_give_byte_identical_chains():
-    """Chains driven through make_potential's .grad/.value passes equal, byte
-    for byte, the chains driven by plain (value, gradient) callables."""
+    """Chains driven by the objectives' partial passes, -obj.value and
+    -obj.grad, equal, byte for byte, the chains driven by the joint pass
+    obj.value_grad."""
     rng = np.random.default_rng(15)
     N, p = 300, 4
     X = rng.standard_normal((N, p))
@@ -206,20 +204,17 @@ def test_partial_pass_potentials_give_byte_identical_chains():
     exact = ExactObjective(data, fit_offset=True, R=R)
     el = ELObjective(AnalyticExponential(ScaledIdentity(p, 1.0)), data, fit_offset=True, R=R)
 
-    def plain(obj):
-        def f(x):
-            v, g = obj.value_grad(x)
-            return -v, -g
-        return f
+    def joint(obj):
+        """(energy, force), each from one value_grad pass."""
+        return (lambda x: -obj.value_grad(x)[0]), (lambda x: -obj.value_grad(x)[1])
 
     x0 = np.concatenate(([-0.7], np.zeros(p)))
     kw = dict(step=0.02, n_leapfrog=8, draws=40, seed=3)
-    u_exact, u_el = make_potential(exact), make_potential(el)
-    assert hasattr(u_exact, "grad") and hasattr(u_exact, "value")
+    energy = lambda x: -exact.value(x)
     pairs = [
-        (hmc_chain(u_exact, x0, **kw), hmc_chain(plain(exact), x0, **kw)),
-        (hmc_chain(u_exact, x0, target="surrogate", force=u_el.grad, **kw),
-         hmc_chain(plain(exact), x0, target="surrogate", force=lambda x: plain(el)(x)[1], **kw)),
+        (hmc_chain(energy, lambda x: -exact.grad(x), x0, **kw), hmc_chain(*joint(exact), x0, **kw)),
+        (hmc_chain(energy, lambda x: -el.grad(x), x0, target="surrogate", **kw),
+         hmc_chain(joint(exact)[0], joint(el)[1], x0, target="surrogate", **kw)),
     ]
     for ours, want in pairs:
         assert ours.samples.tobytes() == want.samples.tobytes()
@@ -228,19 +223,19 @@ def test_partial_pass_potentials_give_byte_identical_chains():
 
 
 def test_force_drives_the_leapfrog_and_the_potential_scores_it():
-    """A chain given a force moves with it: with the potential's own gradient
-    as the force the chain is unchanged, and a mis-scaled force still leaves
-    the Metropolis test, and so the target, with the potential."""
+    """A chain given a force moves with it: any callable that computes the
+    energy's own gradient leaves the chain unchanged, and a mis-scaled force
+    still leaves the Metropolis test, and so the target, with the energy."""
     prec = np.array([[1.2, 0.2], [0.2, 0.9]])
-    u = _quad_potential(prec, np.ones(2))
+    energy, force = _quad_potential(prec, np.ones(2))
     kw = dict(step=0.3, n_leapfrog=6, draws=80, seed=9)
-    a = hmc_chain(u, np.zeros(2), **kw)
-    b = hmc_chain(u, np.zeros(2), force=lambda x: u(x)[1], **kw)
+    a = hmc_chain(energy, force, np.zeros(2), **kw)
+    b = hmc_chain(energy, lambda x: prec @ (x - np.ones(2)), np.zeros(2), **kw)
     assert a.samples.tobytes() == b.samples.tobytes()
-    u_off = _quad_potential(1.8 * prec, np.ones(2))
-    c = hmc_chain(u, np.zeros(2), force=lambda x: u_off(x)[1], **kw)
+    _, force_off = _quad_potential(1.8 * prec, np.ones(2))
+    c = hmc_chain(energy, force_off, np.zeros(2), **kw)
     assert c.target == "exact"
-    assert np.allclose(c.energies, [u(x)[0] for x in c.samples], atol=1e-12)
+    assert np.allclose(c.energies, [energy(x) for x in c.samples], atol=1e-12)
 
 
 def _criterion_08_data():
@@ -264,11 +259,11 @@ def test_single_precision_force_keeps_the_exact_chain():
     is byte-identical."""
     data, x0 = _criterion_08_data()
     obj = ExactObjective(data, fit_offset=True)
-    u = make_potential(obj)
+    energy = lambda x: -obj.value(x)
     force = lambda x: -obj.grad32(x)
     args = (x0, 0.010, 30, 600, 100, 5, "exact")
-    ch64 = hmc_chain(u, *args)
-    ch32 = hmc_chain(u, *args, force=force)
+    ch64 = hmc_chain(energy, lambda x: -obj.grad(x), *args)
+    ch32 = hmc_chain(energy, force, *args)
     assert ch32.acceptance_rate > 0.5
     assert abs(ch32.acceptance_rate - ch64.acceptance_rate) <= 0.03
     q64 = np.percentile(ch64.samples, [2.5, 97.5], axis=0)
@@ -278,7 +273,7 @@ def test_single_precision_force_keeps_the_exact_chain():
     picks = np.arange(0, 600, 50)
     want = np.array([-obj.value(ch32.samples[k]) for k in picks])
     np.testing.assert_array_equal(ch32.energies[picks], want)
-    once, twice = (hmc_chain(u, x0, 0.010, 30, 60, 10, 5, "exact", force) for _ in range(2))
+    once, twice = (hmc_chain(energy, force, x0, 0.010, 30, 60, 10, 5, "exact") for _ in range(2))
     assert once.samples.tobytes() == twice.samples.tobytes()
     assert once.energies.tobytes() == twice.energies.tobytes()
 
@@ -293,8 +288,8 @@ def test_el_gaussian_flat_posterior_covariance():
     data = GlmDataset(X=X, r=r, family=Gaussian(sigma2=sigma2))
     C = Dense(np.array([[1.0, 0.3], [0.3, 1.0]]))
     obj = ELObjective(AnalyticQuadratic(C), data)
-    chain = hmc_chain(make_potential(obj), np.zeros(p), step=0.02, n_leapfrog=20,
-                      draws=4000, seed=13)
+    chain = hmc_chain(lambda x: -obj.value(x), lambda x: -obj.grad(x), np.zeros(p), step=0.02,
+                      n_leapfrog=20, draws=4000, seed=13)
     want_cov = sigma2 * np.linalg.inv(C.to_dense()) / N
     want_mean = np.linalg.solve(N * C.to_dense(), data.s)
     assert chain.acceptance_rate > 0.8
@@ -321,7 +316,7 @@ def test_lnp_el_profile_gaussian():
 
 def test_chain_save_load_round_trip(tmp_path):
     u = _quad_potential(np.eye(2), np.zeros(2))
-    chain = hmc_chain(u, np.zeros(2), step=0.3, n_leapfrog=5, draws=25, seed=2)
+    chain = hmc_chain(*u, np.zeros(2), step=0.3, n_leapfrog=5, draws=25, seed=2)
     stem = tmp_path / "chain"
     save_chain(stem, chain)
     back = load_chain(stem)
@@ -341,3 +336,31 @@ def test_write_summary_csv(tmp_path):
     assert lines[0] == "coordinate,median,q025,q975"
     assert len(lines) == 3
     assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("where", ["force", "energy"])
+def test_diverging_trajectory_is_a_counted_rejection(tmp_path, where):
+    """A trajectory whose force, or whose end point's energy, raises beyond
+    |x| > 1 is a rejected proposal: the chain finishes with finite draws
+    inside that region and counts the divergences, and chain.json keeps the
+    count."""
+    energy, force = _quad_potential(np.eye(1), np.zeros(1))
+
+    def guarded(fn):
+        def f(x):
+            if np.max(np.abs(x)) > 1.0:
+                raise FloatingPointError(f"non-finite {where} (x={x})")
+            return fn(x)
+        return f
+
+    if where == "force":
+        force = guarded(force)
+    else:
+        energy = guarded(energy)
+    chain = hmc_chain(energy, force, np.zeros(1), step=0.3, n_leapfrog=5, draws=200, seed=4)
+    assert np.all(np.isfinite(chain.samples)) and np.all(np.abs(chain.samples) <= 1.0)
+    assert chain.divergences > 0
+    assert chain.acceptance_rate * 220 + chain.divergences <= 220
+    assert chain.acceptance_rate > 0.3
+    save_chain(tmp_path / "chain", chain)
+    assert load_chain(tmp_path / "chain").divergences == chain.divergences

@@ -105,6 +105,26 @@ def test_gaussian_evidence_is_the_log_marginal_likelihood(sigma2):
         assert np.ptp(gap) < 1e-9
 
 
+def test_gaussian_evidence_computes_the_gram_once():
+    """A sweep's evidences share one X'X, the dataset's cached ``gram``, and
+    each equals, bit for bit, the evidence that forms X'X per call."""
+    rng = np.random.default_rng(8)
+    data = _gauss_data(rng, N=60, p=5, sigma2=2.0)
+    assert "gram" not in vars(data)
+    grams = []
+    for beta in (0.5, 4.0):
+        R = ScaledIdentity(5, beta)
+        value = gaussian_evidence(data, R).value
+        grams.append(vars(data)["gram"])
+        M = Dense(data.family.scale * (data.X.T @ data.X) + R.to_dense())
+        b = data.family.scale * data.s
+        assert value == 0.5 * (
+            float(b @ M.solve_shifted(0.0, b)) + R.logdet_shifted(0.0) - M.logdet_shifted(0.0)
+        )
+    assert grams[1] is grams[0] and not grams[0].flags.writeable
+    np.testing.assert_array_equal(grams[0], data.X.T @ data.X)
+
+
 def test_gaussian_evidence_guards():
     rng = np.random.default_rng(3)
     R = ScaledIdentity(4, 1.0)

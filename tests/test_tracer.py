@@ -32,40 +32,40 @@ def test_tracer_installs_and_restores_originals():
     # the run environment records it (perfbench/run.py)
     assert isinstance(cli.CD_BACKEND, str)
     value = glm.ExactObjective.__dict__["value"]
-    potential = sampling.make_potential
+    chain = sampling.hmc_chain
     kernel = cd.cd_quadratic_l1
     assert estimators.cd_quadratic_l1 is kernel
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
         assert glm.ExactObjective.__dict__["value"] is not value
-        assert sampling.make_potential is not potential
+        assert sampling.hmc_chain is not chain
         # the CD counters come from both bindings of the kernel
         assert cd.cd_quadratic_l1 is not kernel
         assert estimators.cd_quadratic_l1 is not kernel
     finally:
         tracer.uninstall()
     assert glm.ExactObjective.__dict__["value"] is value
-    assert sampling.make_potential is potential
+    assert sampling.hmc_chain is chain
     assert cd.cd_quadratic_l1 is kernel
     assert estimators.cd_quadratic_l1 is kernel
 
 
-def test_traced_potential_keeps_its_partial_passes():
-    """functools.wraps copies the potential's __dict__, so the traced wrapper
-    still carries .grad and .value, and a chain runs through it."""
+def test_traced_chain_records_its_acceptance():
+    """A chain run through the tracer's wrapper returns its draws and leaves
+    its target's acceptance in the tracer's counters."""
     rng = np.random.default_rng(0)
     X = rng.standard_normal((50, 3))
     data = glm.GlmDataset(X, rng.poisson(0.5, size=50).astype(float), Poisson())
+    obj = glm.ExactObjective(data, fit_offset=True)
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
-        u = sampling.make_potential(glm.ExactObjective(data, fit_offset=True))
-        assert hasattr(u, "__wrapped__")  # the tracer's wrapper, not the closure
-        assert callable(u.grad) and callable(u.value)
         x = np.array([-0.7, 0.0, 0.0, 0.0])
-        assert u.value(x) == u(x)[0]
-        chain = sampling.hmc_chain(u, x, step=0.05, n_leapfrog=3, draws=3, seed=1)
+        chain = sampling.hmc_chain(
+            lambda z: -obj.value(z), lambda z: -obj.grad(z), x, step=0.05, n_leapfrog=3, draws=3, seed=1
+        )
     finally:
         tracer.uninstall()
     assert chain.samples.shape == (3, 4) and np.all(np.isfinite(chain.samples))
+    assert tracer.counters[(-1, "sampling.acceptance.exact")] == chain.acceptance_rate
