@@ -83,6 +83,19 @@ class ExpectationEngine:
     def _scalars(self, m: float, t2: float):
         raise NotImplementedError
 
+    def _first_order(self, theta0: float, theta: np.ndarray):
+        """(the six scalars, v = C theta, gradient) of ``expected_g``."""
+        mu = self.mu
+        v = self.C.matvec(theta)
+        t2 = max(float(theta @ v), 0.0)
+        m = theta0 if mu is None else theta0 + float(mu @ theta)
+        scalars = self._scalars(m, t2)
+        F_m, a = scalars[1], scalars[3]
+        grad = np.empty(self.p + 1)
+        grad[0] = F_m
+        grad[1:] = a * v if mu is None else F_m * mu + a * v
+        return scalars, v, grad
+
     def expected_g(self, params: GlmParams) -> LikelihoodEval:
         """With v = C theta and d = w0 + mu' w_theta, the chain rule gives
 
@@ -92,14 +105,8 @@ class ExpectationEngine:
         """
         if params.p != self.p:
             raise ValueError(f"theta has length {params.p}, engine expects {self.p}")
-        theta, mu, C = params.theta, self.mu, self.C
-        v = C.matvec(theta)
-        t2 = max(float(theta @ v), 0.0)
-        m = params.theta0 if mu is None else params.theta0 + float(mu @ theta)
-        F, F_m, F_mm, a, b, c = self._scalars(m, t2)
-        grad = np.empty(self.p + 1)
-        grad[0] = F_m
-        grad[1:] = a * v if mu is None else F_m * mu + a * v
+        mu, C = self.mu, self.C
+        (F, F_m, F_mm, a, b, c), v, grad = self._first_order(params.theta0, params.theta)
 
         def hess_action(w):
             w = np.asarray(w, dtype=float)
@@ -431,22 +438,32 @@ def build_clt_engine(family, C=None, mu=None, samples=None, m: int = 50) -> Gaus
     return GaussianCLT(family, C, mu=mu, m=m)
 
 
+def _check_engine(engine: ExpectationEngine, data: GlmDataset):
+    if not engine.supports(data.family):
+        raise ValueError(
+            f"engine {type(engine).__name__} does not support family {data.family.name}"
+        )
+    if engine.p != data.p:
+        raise ValueError("engine dimension does not match data")
+
+
+def _el_grad(data: GlmDataset, eg: np.ndarray) -> np.ndarray:
+    """The EL's gradient over (theta0, theta) from E[G]'s gradient eg."""
+    fam = data.family
+    return fam.scale * (np.concatenate(([data.N_s], data.s)) - data.N * fam.weight * eg)
+
+
 def el_loglik(engine: ExpectationEngine, data: GlmDataset, params: GlmParams) -> LikelihoodEval:
     """EL value/gradient/Hessian over (theta0, theta); cost independent of N.
 
     value = scale * (theta0 N_s + s' theta - N * weight * E[G]); the Hessian
     action wraps the engine's with the -N*weight*scale factor.
     """
-    fam = data.family
-    if not engine.supports(fam):
-        raise ValueError(f"engine {type(engine).__name__} does not support family {fam.name}")
-    if engine.p != data.p:
-        raise ValueError("engine dimension does not match data")
+    _check_engine(engine, data)
     ev = engine.expected_g(params)
-    scale, w = fam.scale, fam.weight
-    c = data.N * w
+    scale, c = data.family.scale, data.N * data.family.weight
     value = scale * (params.theta0 * data.N_s + float(data.s @ params.theta) - c * ev.value)
-    grad = scale * (np.concatenate(([data.N_s], data.s)) - c * ev.grad)
+    grad = _el_grad(data, ev.grad)
 
     def hess_action(vv):
         return -scale * c * ev.hess_action(vv)
@@ -459,17 +476,30 @@ class ELObjective(ExactObjective):
 
     def __init__(self, engine, data, fit_offset=False, theta0=0.0, R=None):
         super().__init__(data, fit_offset=fit_offset, theta0=theta0, R=R)
+        _check_engine(engine, data)
         self.engine = engine
 
     def _loglik(self, x):
         return el_loglik(self.engine, self.data, self.params(x))
 
-    # the EL costs O(p) per pass, so its partial passes are the full one
+    # the EL costs O(p) per pass and reads no design, so its value passes
+    # are the full one and its passes have no single-precision variant
     def _loglik_value(self, x):
         return self._loglik(x).value
 
+    def _loglik_value_grad(self, x):
+        ev = self._loglik(x)
+        return ev.value, ev.grad
+
     def _loglik_grad(self, x):
-        return self._loglik(x).grad
+        """``_loglik(x).grad`` bit for bit, read from the vector without
+        ``params``' objects: the leapfrog force of the EL chains. A
+        non-finite x goes through ``_loglik``, which raises as ``params``
+        does."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            return self._loglik(x).grad
+        return _el_grad(self.data, self.engine._first_order(*self._split(x))[2])
 
     _loglik_grad32 = _loglik_grad
 

@@ -280,10 +280,16 @@ def _el_recipe(data: GlmDataset, C, R, fit_offset: bool, init):
     return init, apply_pre
 
 
-def _pcg(action, b, apply_pre, rtol, max_iter):
-    """Truncated preconditioned CG for A d = b with A = -(Hessian), given as
-    ``action``; stops at ||b - A d|| <= rtol ||b|| or at a direction of
-    nonpositive curvature. Returns (d, Hessian actions taken)."""
+def _pcg(action, refine, b, apply_pre, rtol, max_iter):
+    """Truncated preconditioned CG for A d = b with A = -(Hessian); stops at
+    ||b - A d|| <= rtol ||b|| or at a direction of nonpositive curvature.
+    Returns (d, Hessian actions taken).
+
+    The first action is ``action``; the later ones are ``refine``, a
+    cheaper, less accurate A. The first action scales the preconditioned
+    residual, the bulk of d under a good preconditioner; the later ones only
+    correct it, so their rounding errors reach d scaled by how much
+    correction the preconditioner leaves."""
     d = np.zeros_like(b)
     res = b.copy()
     z = apply_pre(res)
@@ -291,7 +297,7 @@ def _pcg(action, b, apply_pre, rtol, max_iter):
     rz = float(res @ z)
     target = rtol * float(np.linalg.norm(b))
     for k in range(1, max_iter + 1):
-        Aq = action(q)
+        Aq = action(q) if k == 1 else refine(q)
         curv = float(q @ Aq)
         if curv <= 0.0:
             return (d if k > 1 else z), k
@@ -324,14 +330,21 @@ def fit_exact(
     infinity-norm drops below tol * max(1, |value|) (``converged``), or
     unconverged when max_iter steps are taken, the line search finds no
     ascent, or an accepted step leaves the value unchanged and the gradient
-    test still fails. The method follows from the data and ``C``:
+    test still fails. A step whose predicted gain g'd is below the value's
+    typical rounding error, sqrt(N) rounding units, is one the line search
+    cannot judge: it is taken in full, as the last step, when the gradient
+    at its end passes the test, and line-searched otherwise. The method
+    follows from the data and ``C``:
 
     - with the stimulus covariance ``C`` and Poisson or Gaussian data,
       truncated Newton (solver ``fit_exact_newton_cg``) starts from ``init``
       or :func:`mele` and solves each step by CG on O(Np) Hessian actions,
       preconditioned by the EL Hessian blockdiag(s_f n, s_f n C + R) with
       the family's scale s_f and n = N_s (Poisson) or N (Gaussian), to the
-      forcing term 0.1 min(0.5, sqrt(||g||)) (Eisenstat & Walker 1996);
+      forcing term 0.1 min(0.5, sqrt(||g||)) (Eisenstat & Walker 1996). The
+      CG only steers, so after each solve's first action its actions read
+      the float32 design (the twin action from ``value_grad_hess``); values,
+      line searches and the convergence gradient stay float64;
     - otherwise Newton (solver ``fit_exact_newton``) solves with the dense
       O(N p^2) Hessian on every step, starting from ``init`` or zero.
 
@@ -353,6 +366,10 @@ def fit_exact(
         x = obj.vector(start)
     else:
         x = np.zeros(obj.dim) if init is None else obj.vector(init)
+
+    def done(v, g):
+        return np.max(np.abs(g)) <= tol * max(1.0, abs(v))
+
     t0 = time.perf_counter()
     trace = []
     converged = stalled = False
@@ -361,9 +378,9 @@ def fit_exact(
         if el is None:
             v, g = obj.value_grad(x)
         else:
-            v, g, hess = obj.value_grad_hess(x)
+            v, g, hess, hess32 = obj.value_grad_hess(x)
         trace.append(v)
-        if np.max(np.abs(g)) <= tol * max(1.0, abs(v)):
+        if done(v, g):
             converged = True
             break
         if it >= max_iter or stalled:
@@ -375,11 +392,23 @@ def fit_exact(
                 raise np.linalg.LinAlgError(f"Hessian numerically singular: {e}")
         else:
             forcing = 0.1 * min(0.5, np.sqrt(np.linalg.norm(g)))
-            d, k = _pcg(lambda q: -hess(q), g, apply_pre, forcing, obj.dim)
+            d, k = _pcg(
+                lambda q: -hess(q), lambda q: -hess32(q), g, apply_pre, forcing, obj.dim
+            )
             actions += k
         slope = float(g @ d)
         if slope <= 0:  # solve hit a flat/indefinite direction; fall back to gradient
             d, slope = g, float(g @ g)
+        if slope <= np.sqrt(data.N) * np.spacing(abs(v)):
+            # a gain below the value's typical rounding error, sqrt(N) units
+            # for a sum over N data, is one the line search cannot judge; the
+            # gradient can: a full step that passes its test ends the fit
+            v_new, g_new = obj.value_grad(x + d)
+            if done(v_new, g_new):
+                x, g, converged = x + d, g_new, True
+                trace.append(v_new)
+                it += 1
+                break
         alpha, v_new = _armijo(obj.value, x, d, v, slope)
         if alpha == 0.0:
             break

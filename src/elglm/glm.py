@@ -2,8 +2,16 @@
 
 The dataset caches the sufficient statistics s = X'r, N_s = sum(r), N once,
 which is all the linear term of the likelihood ever needs; the nonlinear term
-is what the EL approximation targets. It also caches X'X on first use, for
-the exact Gaussian evidence.
+is what the EL approximation targets. It also caches, on first use, X'X for
+the exact Gaussian evidence and one read-only float32 copy of (X, r).
+
+Passes that only steer read the float32 copy: the Hessian actions of the
+truncated-Newton CG (the twin action that ``ExactObjective.value_grad_hess``
+returns) and the leapfrog force of the exact chain
+(``ExactObjective.grad32``). They read half the bytes, and a float32 result
+that is not finite is taken again in float64. Passes that score stay
+float64: values, gradients, ``hess_dense`` and ``exact_loglik`` with its own
+Hessian action.
 
 Likelihood values are reported up to const(theta): per-datum terms that do
 not involve (theta0, theta), e.g. -log r_n! or -r_n^2/(2 sigma^2), are
@@ -67,9 +75,12 @@ class GlmDataset:
         Total response sum (spike count for point-process families).
     gram : ndarray, shape (p, p)
         X' X, computed on first use.
+    single : (ndarray, ndarray)
+        Read-only float32 copies of X and r, made on first use.
     """
 
     def __init__(self, X, r, family: CanonicalFamily):
+        # a C-ordered float64 X, such as a mapped stem, is kept without a copy
         X = np.ascontiguousarray(X, dtype=float)
         r = np.ascontiguousarray(r, dtype=float)
         if X.ndim != 2:
@@ -96,6 +107,15 @@ class GlmDataset:
         gram.setflags(write=False)
         return gram
 
+    @functools.cached_property
+    def single(self):
+        """Float32 (X, r), made on first use and shared by every objective on
+        this dataset; read-only, like X and r."""
+        X, r = self.X.astype(np.float32), self.r.astype(np.float32)
+        X.setflags(write=False)
+        r.setflags(write=False)
+        return X, r
+
     def __repr__(self):
         return f"GlmDataset(N={self.N}, p={self.p}, family={self.family!r})"
 
@@ -105,6 +125,7 @@ class LikelihoodEval:
     value: float
     grad: np.ndarray  # length p+1, ordered (theta0, theta)
     hess_action: "callable"  # v (p+1,) -> H v (p+1,)
+    d2: np.ndarray = None  # an exact pass's curvature weights weight * G''(u)
 
 
 def _checked_offset(data: GlmDataset, offset) -> np.ndarray:
@@ -146,6 +167,12 @@ def _grad(data: GlmDataset, dgu) -> np.ndarray:
     return grad
 
 
+def _value_grad(data: GlmDataset, u):
+    with np.errstate(over="ignore"):  # finiteness is checked explicitly
+        gu = _finite(data.family.g(u), u, "G(u)")
+    return _value(data, u, gu), _grad(data, data.family.dg(u))
+
+
 def exact_loglik(data: GlmDataset, params: GlmParams, offset=None) -> LikelihoodEval:
     """Exact log-likelihood over (theta0, theta), up to const(theta).
 
@@ -157,10 +184,7 @@ def exact_loglik(data: GlmDataset, params: GlmParams, offset=None) -> Likelihood
     """
     fam = data.family
     u = _linear_predictor(data, params, offset)
-    with np.errstate(over="ignore"):  # finiteness is checked explicitly below
-        gu = _finite(fam.g(u), u, "G(u)")
-    value = _value(data, u, gu)
-    grad = _grad(data, fam.dg(u))
+    value, grad = _value_grad(data, u)
     d2 = fam.weight * fam.d2g(u)
     scale = fam.scale
 
@@ -174,7 +198,7 @@ def exact_loglik(data: GlmDataset, params: GlmParams, offset=None) -> Likelihood
         out[1:] = -scale * (data.X.T @ t)
         return out
 
-    return LikelihoodEval(value=value, grad=grad, hess_action=hess_action)
+    return LikelihoodEval(value=value, grad=grad, hess_action=hess_action, d2=d2)
 
 
 def _exact_value(data: GlmDataset, params: GlmParams, offset=None) -> float:
@@ -201,9 +225,9 @@ class ExactObjective:
     objective; ``fit_offset=True`` exposes the joint (theta0, theta) problem
     over a (p+1)-vector ordered (theta0, theta). ``R`` adds the ridge
     -theta'R theta/2 on the filter; the offset always carries a flat prior.
-    Subclasses swap the likelihood by overriding its four passes:
-    ``_loglik`` (value, gradient and Hessian action), ``_loglik_value``,
-    ``_loglik_grad`` and ``_loglik_grad32``.
+    Subclasses swap the likelihood by overriding its passes: ``_loglik``
+    (value, gradient and Hessian action), ``_loglik_value``,
+    ``_loglik_value_grad``, ``_loglik_grad`` and ``_loglik_grad32``.
     """
 
     def __init__(self, data: GlmDataset, fit_offset=False, theta0=0.0, offset=None, R=None):
@@ -214,7 +238,6 @@ class ExactObjective:
         self.R = R
         self.dim = data.p + 1 if fit_offset else data.p
         self._theta = slice(int(self.fit_offset), None)  # the filter's coordinates in x
-        self._single = None  # float32 (X, r, offset), made by the first grad32 pass
 
     def params(self, x) -> GlmParams:
         x = np.asarray(x, dtype=float)
@@ -229,42 +252,78 @@ class ExactObjective:
             raise ValueError(f"params give a vector of length {x.size}, expected {self.dim}")
         return np.array(x, dtype=float)
 
+    def _split(self, x):
+        """(theta0, theta) read straight from x, without ``params``' checks:
+        for the leapfrog force, which falls back to a checked float64 pass
+        where its result is not finite."""
+        x = np.asarray(x, dtype=float)
+        if self.fit_offset:
+            return float(x[0]), x[1:]
+        return self.theta0, x
+
+    @functools.cached_property
+    def _offset32(self):
+        if self.offset is None:
+            return None
+        return _checked_offset(self.data, self.offset).astype(np.float32)
+
     def _loglik(self, x) -> LikelihoodEval:
         return exact_loglik(self.data, self.params(x), offset=self.offset)
 
     def _loglik_value(self, x) -> float:
         return _exact_value(self.data, self.params(x), offset=self.offset)
 
+    def _loglik_value_grad(self, x):
+        return _value_grad(self.data, _linear_predictor(self.data, self.params(x), self.offset))
+
     def _loglik_grad(self, x) -> np.ndarray:
         return _exact_grad(self.data, self.params(x), offset=self.offset)
 
     def _loglik_grad32(self, x) -> np.ndarray:
-        """``_loglik_grad`` computed on float32 copies of X, r and the offset
-        (half the bytes per pass; relative error near 1e-6), returned as
-        float64. Where the float32 pass is not finite (Poisson's exp
-        overflows past u = 88.7) it returns the float64 pass, so the result
-        is a deterministic function of x."""
+        """``_loglik_grad`` computed on the dataset's float32 copies of X and r
+        and a float32 offset (half the bytes per pass; relative error near
+        1e-6), returned as float64. Where the float32 pass is not finite
+        (Poisson's exp overflows past u = 88.7) it returns the float64 pass,
+        so the result is a deterministic function of x."""
         data, fam = self.data, self.data.family
-        if self._single is None:
-            off = self.offset
-            self._single = (
-                data.X.astype(np.float32),
-                data.r.astype(np.float32),
-                None if off is None else _checked_offset(data, off).astype(np.float32),
-            )
-        X, r, off = self._single
-        params = self.params(x)
+        X, r = data.single
+        theta0, theta = self._split(x)
         grad = np.empty(data.p + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            u = params.theta0 + X @ params.theta.astype(np.float32)
-            if off is not None:
-                u += off
+            u = theta0 + X @ theta.astype(np.float32)
+            if self.offset is not None:
+                u += self._offset32
             resid = r - fam.weight * fam.dg(u)
             grad[0] = np.sum(resid, dtype=float)
             grad[1:] = X.T @ resid
         if not np.all(np.isfinite(grad)):
             return self._loglik_grad(x)
         return fam.scale * grad
+
+    def _hess_action32(self, ev: LikelihoodEval):
+        """``ev.hess_action`` with its two matvecs on the float32 design and
+        ev's float64 curvature weights rounded to float32 once; where its
+        result is not finite, ``ev.hess_action`` itself. A pass that reads no
+        design (``ev.d2`` is None) keeps its own action."""
+        if ev.d2 is None:
+            return ev.hess_action
+        data, scale = self.data, self.data.family.scale
+        with np.errstate(over="ignore"):
+            d2 = ev.d2.astype(np.float32)
+
+        def hess_action(v):
+            X = data.single[0]  # made by the first call, not by the pass
+            v = np.asarray(v, dtype=float)
+            out = np.empty(v.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = d2 * (float(v[0]) + X @ v[1:].astype(np.float32))
+                out[0] = np.sum(t, dtype=float)
+                out[1:] = X.T @ t
+            if not np.all(np.isfinite(out)):
+                return ev.hess_action(v)
+            return -scale * out
+
+        return hess_action
 
     def _prior_value(self, x, v):
         if self.R is None:
@@ -293,25 +352,37 @@ class ExactObjective:
         return self._prior_grad(x, self._loglik_grad32(x))
 
     def value_grad(self, x):
-        return self.value_grad_hess(x)[:2]
+        """(value, gradient) from one pass without the curvature weights;
+        equals ``value_grad_hess(x)[:2]`` bit for bit."""
+        v, g = self._loglik_value_grad(x)
+        return self._prior_value(x, v), self._prior_grad(x, g)
 
     def value_grad_hess(self, x):
-        """(value, gradient, Hessian action) from one likelihood pass."""
+        """(value, gradient, Hessian action, the action's single-precision
+        twin) from one float64 likelihood pass, which also gives the twin's
+        curvature weights. The twin (see ``_hess_action32``) runs its matvecs
+        on the float32 design, for CG solves that need only a forcing term's
+        accuracy."""
         ev = self._loglik(x)
-        return self._prior_value(x, ev.value), self._prior_grad(x, ev.grad), self._action(ev)
+        return (
+            self._prior_value(x, ev.value),
+            self._prior_grad(x, ev.grad),
+            self._action(ev.hess_action),
+            self._action(self._hess_action32(ev)),
+        )
 
     def hess_action(self, x):
-        return self._action(self._loglik(x))
+        return self._action(self._loglik(x).hess_action)
 
-    def _action(self, ev: LikelihoodEval):
+    def _action(self, loglik_action):
         R, block = self.R, self._theta
 
         def action(v):
             v = np.asarray(v, dtype=float)
             if self.fit_offset:
-                out = ev.hess_action(v)
+                out = loglik_action(v)
             else:
-                out = ev.hess_action(np.concatenate(([0.0], v)))[1:]
+                out = loglik_action(np.concatenate(([0.0], v)))[1:]
             if R is not None:
                 out[block] -= R.matvec(v[block])
             return out
@@ -348,18 +419,25 @@ def simulate_responses(family: CanonicalFamily, X, params: GlmParams, seed) -> n
     return family.simulate(u, rng)
 
 
-# Dataset file format: one float64 little-endian binary holding X in
-# column-major order followed by r, plus a JSON sidecar (same stem, .json)
-# carrying {N, p, family params}. CSV import covers small hand-made data.
+# Dataset file format: one float64 little-endian binary holding X followed by
+# r, plus a JSON sidecar (same stem, .json) carrying {N, p, order, family
+# params}. ``order`` "C" stores X row by row, the layout of GlmDataset.X, so
+# a stem is written and mapped without a copy; stems without the key hold X
+# column by column ("F"), the layout of older files, and load with one copy.
+# CSV import covers small hand-made data.
 
 
 def save_dataset(data: GlmDataset, stem: str):
-    """Write <stem>.bin and <stem>.json; returns the pair of paths."""
+    """Write <stem>.bin (X row-major, then r) and <stem>.json; returns the
+    pair of paths. The binary is written beside its target and renamed over
+    it, so a dataset still mapped from an older file of that stem keeps its
+    bytes."""
     bin_path, meta_path = stem + ".bin", stem + ".json"
-    with open(bin_path, "wb") as f:
-        f.write(np.asfortranarray(data.X).tobytes(order="F"))
-        f.write(data.r.tobytes())
-    meta = {"N": data.N, "p": data.p, **data.family.to_config()}
+    with open(bin_path + ".tmp", "wb") as f:
+        data.X.tofile(f)
+        data.r.tofile(f)
+    os.replace(bin_path + ".tmp", bin_path)
+    meta = {"N": data.N, "p": data.p, "order": "C", **data.family.to_config()}
     with open(meta_path, "w") as f:
         json.dump(meta, f, indent=2)
         f.write("\n")
@@ -367,17 +445,26 @@ def save_dataset(data: GlmDataset, stem: str):
 
 
 def load_dataset(stem: str) -> GlmDataset:
+    """Read a stem written by :func:`save_dataset`. The binary is mapped
+    read-only; a row-major X is used in place, a column-major one (no
+    ``order`` key) is copied once into row-major order."""
     bin_path, meta_path = stem + ".bin", stem + ".json"
     with open(meta_path) as f:
         meta = json.load(f)
     N, p = int(meta["N"]), int(meta["p"])
-    family = family_from_config(meta)
-    raw = np.fromfile(bin_path, dtype="<f8")
-    if raw.size != N * p + N:
+    order = meta.get("order", "F")
+    if order not in ("C", "F"):
         raise ValueError(
-            f"{os.path.basename(bin_path)}: expected {N * p + N} float64 values, found {raw.size}"
+            f"{os.path.basename(meta_path)}: unknown order {order!r}, expected 'C' or 'F'"
         )
-    X = raw[: N * p].reshape((N, p), order="F")
+    family = family_from_config(meta)
+    found = os.path.getsize(bin_path) // 8
+    if found != N * p + N:
+        raise ValueError(
+            f"{os.path.basename(bin_path)}: expected {N * p + N} float64 values, found {found}"
+        )
+    raw = np.memmap(bin_path, dtype="<f8", mode="r")
+    X = raw[: N * p].reshape((N, p), order=order)
     r = raw[N * p :]
     return GlmDataset(X, r, family)
 

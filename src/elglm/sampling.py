@@ -11,9 +11,18 @@ For a log-posterior objective the pair is ``lambda x: -obj.value(x)`` and
 force may come from another callable:
 
 - the CLI's exact chain uses the exact gradient computed in single precision
-  (``ExactObjective.grad32``), which reads half the bytes per step;
+  (``ExactObjective.grad32``), which reads the dataset's cached float32
+  design, half the bytes per step;
 - its surrogate chain (target ``"surrogate"``) uses the EL gradient, so its
   trajectories cost O(p) per step.
+
+So the force steers and the energy scores. Every step of a trajectory calls
+only the force, and the force reads (theta0, theta) straight from the vector:
+neither ``grad32`` nor the EL gradient builds a ``GlmParams``, a
+``LikelihoodEval`` or a Hessian closure per step. A non-finite x, or a
+float32 result that is not finite, goes through the checked float64 pass,
+which raises as it always did. The energy, one float64 pass per proposal,
+scores the Metropolis test and the stored energies.
 
 Any force that is a deterministic function of x keeps the leapfrog flow
 reversible and volume preserving, so the Metropolis test against the
@@ -73,12 +82,13 @@ class Chain:
 
 
 def _leapfrog(grad_u, x, rho, step, n_steps, g0):
-    g = g0
+    half, g = 0.5 * step, g0
+    rho = rho.copy()  # kicked in place; x is not, since a force may keep it
     for _ in range(n_steps):
-        rho = rho - 0.5 * step * g
+        rho -= half * g
         x = x + step * rho
         g = grad_u(x)
-        rho = rho - 0.5 * step * g
+        rho -= half * g
     return x, rho, g
 
 

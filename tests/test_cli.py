@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -848,6 +849,66 @@ def test_sample_makes_one_exact_fit_and_only_the_el_side_needs_c(tmp_path, capsy
         assert code == want_code, (target, err)
         assert log["methods"] == want_methods, target
     assert "needs a covariance" in err
+
+
+def test_sample_makes_one_float32_copy_of_the_design(tmp_path, capsys, monkeypatch):
+    """An exact sample run makes one float32 copy of X: the fit's CG makes
+    it, and the chain's single-precision force reads the same copy."""
+    p = 4
+    cfg = {
+        "seed": 2,
+        "data": {"stem": _heavy_row_stem(tmp_path, p)},
+        "C": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+        "R": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+        "fit_offset": True,
+        "target": "exact",
+        "draws": 10,
+    }
+    single = GlmDataset.__dict__["single"]
+    copies, after_fit = [], []
+
+    def counted(data):
+        copies.append(data.N)
+        return make(data)
+
+    def fit(data, **kw):
+        out = fit_exact(data, **kw)
+        after_fit.append((len(copies), out.diagnostics["hess_actions"], out.iterations))
+        return out
+
+    make = single.func
+    monkeypatch.setattr(single, "func", counted)
+    monkeypatch.setattr(cli_mod, "fit_exact", fit)
+    code, _, err = run_cli(capsys, ["sample", write_cfg(tmp_path, cfg), "--out-root", str(tmp_path / "out")])
+    assert code == 0, err
+    (made, actions, steps), = after_fit
+    assert actions > steps and made == 1  # the CG took float32 actions
+    assert copies == [200]
+
+
+def test_mele_fit_on_a_row_major_stem_allocates_less_than_the_design(tmp_path, capsys):
+    """A CLI mele fit reads the stored design through a mapped file: its
+    traced allocations peak below the size of X."""
+    rng = np.random.default_rng(3)
+    N, p = 4000, 50
+    X = rng.standard_normal((N, p))
+    r = rng.poisson(np.exp(0.2 * X[:, 0] - 0.5)).astype(float)
+    stem = str(tmp_path / "big")
+    save_dataset(GlmDataset(X, r, Poisson()), stem)
+    cfg = {
+        "data": {"stem": stem},
+        "C": {"kind": "scaled_identity", "dim": p, "scale": 1.0},
+        "estimator": {"kind": "mele"},
+    }
+    path = write_cfg(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, ["fit", path, "--out-root", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < X.nbytes, (peak, X.nbytes)
 
 
 def test_sample_el_targets_refuse_families_without_a_closed_form(tmp_path, capsys, monkeypatch):

@@ -420,6 +420,47 @@ def test_fit_exact_newton_cg_matches_newton(family, design):
     assert ncg.diagnostics["hess_actions"] >= ncg.iterations
 
 
+@pytest.mark.parametrize("ridge", [False, True])
+@pytest.mark.parametrize("fit_offset", [False, True])
+@pytest.mark.parametrize("family", ["poisson", "gaussian"])
+def test_float32_cg_reaches_the_dense_newton_map(family, fit_offset, ridge):
+    """The CG's later Hessian actions read the float32 design, and the MAP of
+    fit_exact(C=) still matches dense Newton's within 1e-8, with and without
+    a ridge and a fitted offset."""
+    data, C, _ = _newton_cg_case(family, "ar1")
+    kw = {"R": ScaledIdentity(data.p, 2.0) if ridge else None, "fit_offset": fit_offset}
+    newton = fit_exact(data, **kw)
+    ncg = fit_exact(data, C=C, **kw)
+    assert newton.converged and ncg.converged and ncg.solver == "fit_exact_newton_cg"
+    assert ncg.diagnostics["hess_actions"] > ncg.iterations  # some actions were float32
+    assert "single" in vars(data)
+    x_n = np.concatenate(([newton.params.theta0], newton.params.theta))
+    x_c = np.concatenate(([ncg.params.theta0], ncg.params.theta))
+    np.testing.assert_allclose(x_c, x_n, rtol=0, atol=1e-8 * np.max(np.abs(x_n)))
+
+
+def test_float32_cg_keeps_the_float64_steps_and_actions(monkeypatch):
+    """On a pinned Poisson set (N=3000, p=60, AR(1) stimuli and C with
+    phi=0.5, R = I, fitted offset), the fit with float32 refining actions
+    takes the 6 steps and 28 Hessian actions that all-float64 CG takes, and
+    reaches its MAP within 1e-10."""
+    g = np.random.default_rng(102)
+    N, p = 3000, 60
+    Cm = _ar1(p, 0.5)
+    X = g.standard_normal((N, p)) @ np.linalg.cholesky(Cm).T
+    theta = g.standard_normal(p) / np.sqrt(p)
+    data = GlmDataset(X=X, r=g.poisson(np.exp(X @ theta)).astype(float), family=Poisson())
+    kw = {"R": ScaledIdentity(p, 1.0), "C": Dense(Cm), "fit_offset": True}
+    fr = fit_exact(data, **kw)
+    monkeypatch.setattr(glm.ExactObjective, "_hess_action32", lambda self, ev: ev.hess_action)
+    f64 = fit_exact(data, **kw)
+    for f in (fr, f64):
+        assert f.converged and (f.iterations, f.diagnostics["hess_actions"]) == (6, 28)
+    x = np.concatenate(([fr.params.theta0], fr.params.theta))
+    x64 = np.concatenate(([f64.params.theta0], f64.params.theta))
+    np.testing.assert_allclose(x, x64, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("method", ["newton", "newton_cg"])
 def test_fit_exact_stops_when_a_step_leaves_the_value_unchanged(method):
     """At tol=1e-12 the gradient test asks for more than the value's rounding
